@@ -1,0 +1,50 @@
+"""Golden output: CLI artifacts must match files committed with the tests.
+
+Criterion 9 of the acceptance gate compares reruns of one checkout; these
+fixtures pin the bytes across changes to the engine. Regenerate them only
+with a change that is meant to alter output, and say so in CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from tcrlab.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+# (fixture, config written to the run directory or None, CLI arguments, artifact)
+CASES = [
+    ("trace_seed42.csv", None, ["simulate", "--seed", "42"], "trace.csv"),
+    (
+        # 7 voters at an 8% stake: 192 rounds with forced abstentions,
+        # 26 non-empty ties and 6 empty rounds.
+        "trace_small_seed3.csv",
+        {"num_voters": 7, "num_items": 200, "initial_stake": 40.0},
+        ["simulate", "{config}", "--seed", "3"],
+        "trace.csv",
+    ),
+    (
+        "aggregate_2cell.csv",
+        {
+            "grid": {"p_informed": [0.1, 0.9], "inflation_rate": [0.05]},
+            "replications": 20,
+            "base_seed": 5,
+            "sim_params": {"num_items": 20, "num_voters": 30},
+        },
+        ["sweep", "{config}"],
+        "aggregate.csv",
+    ),
+]
+
+
+@pytest.mark.parametrize("fixture,config,argv,artifact", CASES, ids=[c[0] for c in CASES])
+def test_output_matches_golden_file(tmp_path, fixture, config, argv, artifact):
+    cfg = tmp_path / "config.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [str(cfg) if a == "{config}" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / artifact).read_bytes() == (DATA / fixture).read_bytes()
