@@ -11,48 +11,4 @@ The package has three layers:
   aggregates and SVG charts.
 """
 
-from .params import (
-    AnalysisSigmaStake,
-    ConfigurationError,
-    ProtocolStake,
-    SimParams,
-)
-from .protocol import (
-    Decision,
-    InvariantViolation,
-    Item,
-    RoundRecord,
-    TcrState,
-    VoterState,
-    apply_inflation,
-    init_registry,
-    required_stake,
-    run_round,
-    settle,
-    tally,
-)
-from .voters import RngStream, VoterClass, cast_vote, decide_participation, sample_roster
-from .metrics import MetricsRow, class_wealth, lurp, snapshot
-from .analysis import (
-    AnalysisParams,
-    AnalysisSeries,
-    asymptotic_classification,
-    tokens_disengaged,
-    tokens_informed_engaged,
-    tokens_uninformed_engaged,
-    total_tokens,
-    value_per_token,
-)
-from .harness import (
-    AggregateStats,
-    BehaviorMode,
-    RunConfig,
-    SweepSpec,
-    ValidationReport,
-    replicate,
-    run_simulation,
-    run_sweep,
-    validate_against_analysis,
-)
-
 __version__ = "0.1.0"

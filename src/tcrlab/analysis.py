@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .params import ConfigurationError
+from .params import ConfigurationError, check_finite
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class AnalysisParams:
     n_ud: int
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.t0 <= 0:
             raise ConfigurationError(f"t0 must be > 0, got {self.t0}")
         if not 0.0 < self.sigma < 1.0:
@@ -42,19 +43,6 @@ class AnalysisParams:
                 "the model requires more informed-engaged than uninformed-engaged "
                 f"voters, got n_ie={self.n_ie}, n_ue={self.n_ue}"
             )
-
-
-@dataclass(frozen=True)
-class AnalysisSeries:
-    """Per-class balances, total, and per-token value after k rounds."""
-
-    k: int
-    t_ie: float
-    t_ue: float
-    t_id: float
-    t_ud: float
-    t_total: float
-    value_per_token: float
 
 
 def tokens_disengaged(p: AnalysisParams, k: int) -> float:
@@ -98,19 +86,6 @@ def value_per_token(p: AnalysisParams, k: int) -> float:
     """k correct decisions spread over the (inflating) supply: k / total."""
     _check_k(k)
     return k / total_tokens(p, k)
-
-
-def series_at(p: AnalysisParams, k: int) -> AnalysisSeries:
-    """All trajectories at round k in one record."""
-    return AnalysisSeries(
-        k=k,
-        t_ie=tokens_informed_engaged(p, k),
-        t_ue=tokens_uninformed_engaged(p, k),
-        t_id=tokens_disengaged(p, k),
-        t_ud=tokens_disengaged(p, k),
-        t_total=total_tokens(p, k),
-        value_per_token=value_per_token(p, k),
-    )
 
 
 @dataclass(frozen=True)

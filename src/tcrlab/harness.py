@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -24,32 +25,10 @@ from .analysis import (
     total_tokens,
     value_per_token,
 )
-from .metrics import CLASS_ORDER, MetricsRow, snapshot
+from .metrics import METRIC_NAMES, snapshot
 from .params import AnalysisSigmaStake, ConfigurationError, SimParams
-from .protocol import (
-    REL_TOL,
-    Decision,
-    Item,
-    RoundRecord,
-    init_registry,
-    required_stake,
-    run_round,
-)
+from .protocol import RoundRecord, init_registry, run_round
 from .voters import RngStream, VoterClass, sample_roster
-
-METRIC_NAMES = (
-    "lurp_raw",
-    "lurp_clamped",
-    "t_total",
-    "tokens_IE",
-    "tokens_ID",
-    "tokens_UE",
-    "tokens_UD",
-    "wealth_IE",
-    "wealth_ID",
-    "wealth_UE",
-    "wealth_UD",
-)
 
 
 class BehaviorMode(enum.Enum):
@@ -85,11 +64,12 @@ class RunConfig:
 
 def run_simulation(
     config: RunConfig, roster: list[tuple[bool, bool]] | None = None
-) -> list[tuple[RoundRecord, MetricsRow]]:
-    """Execute all rounds; returns the full (audit, metrics) trace.
+) -> list[tuple[RoundRecord, np.ndarray]]:
+    """Execute all rounds; returns the full (audit, metrics row) trace.
 
-    A fixed roster may be supplied (no roster draws are consumed then);
-    otherwise the roster is sampled from the stream first.
+    Each metrics row is a float array in METRIC_NAMES order. A fixed roster
+    may be supplied (no roster draws are consumed then); otherwise the
+    roster is sampled from the stream first.
     """
     params = config.effective_params()
     rng = RngStream(config.base_seed)
@@ -97,50 +77,15 @@ def run_simulation(
         roster = sample_roster(params, rng)
     state = init_registry(params, roster)
     if config.behavior_mode is BehaviorMode.DEGENERATE_IDEAL:
-        n_ie = int(state.class_masks[VoterClass.INFORMED_ENGAGED].sum())
-        n_ue = int(state.class_masks[VoterClass.UNINFORMED_ENGAGED].sum())
+        n_ie = state.class_sizes[VoterClass.INFORMED_ENGAGED]
+        n_ue = state.class_sizes[VoterClass.UNINFORMED_ENGAGED]
         if n_ie <= n_ue:
             raise ConfigurationError(
                 "degenerate-ideal mode requires more informed-engaged than "
                 f"uninformed-engaged voters, got {n_ie} vs {n_ue}"
             )
-
-    p_vote = np.where(state.is_engaged, params.p_vote_engaged, params.p_vote_disengaged)
-    trace: list[tuple[RoundRecord, MetricsRow]] = []
-    for r in range(params.num_items):
-        item = Item(r, bool(rng.uniform() < params.p_item_good))
-        stake = required_stake(state)
-        intends = rng.uniform(state.num_voters) < p_vote
-        eligible_mask = intends & (state.balances >= stake * (1.0 - REL_TOL))
-        eligible_ids = np.nonzero(eligible_mask)[0]
-        p_correct = np.where(
-            state.is_informed[eligible_ids],
-            params.p_correct_informed,
-            params.p_correct_uninformed,
-        )
-        correct = rng.uniform(len(eligible_ids)) < p_correct
-        votes_add = correct == item.is_good
-        votes = {
-            int(j): Decision.ADD if a else Decision.REJECT
-            for j, a in zip(eligible_ids, votes_add)
-        }
-        intents = frozenset(np.nonzero(intends)[0].tolist())
-        record = run_round(state, item, intents, votes)
-        trace.append((record, snapshot(state)))
-    return trace
-
-
-def metrics_array(trace: list[tuple[RoundRecord, MetricsRow]]) -> np.ndarray:
-    """Trace metrics as a (rounds, len(METRIC_NAMES)) float array; NaN = absent."""
-    out = np.empty((len(trace), len(METRIC_NAMES)))
-    for i, (_, row) in enumerate(trace):
-        out[i, 0] = row.lurp_raw
-        out[i, 1] = row.lurp_clamped
-        out[i, 2] = row.t_total
-        for c, cls in enumerate(CLASS_ORDER):
-            out[i, 3 + c] = row.tokens[cls]
-            out[i, 7 + c] = row.wealth[cls]
-    return out
+    with np.errstate(over="ignore"):  # run_round reports an overflow itself
+        return [(run_round(state, rng), snapshot(state)) for _ in range(params.num_items)]
 
 
 _MASK64 = (1 << 64) - 1
@@ -163,7 +108,7 @@ def derive_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
 def _replication_task(args: tuple[SimParams, int]) -> np.ndarray:
     params, seed = args
     trace = run_simulation(RunConfig(sim_params=params, base_seed=seed))
-    return metrics_array(trace)
+    return np.array([row for _, row in trace]).reshape(len(trace), len(METRIC_NAMES))
 
 
 def replicate(
@@ -176,7 +121,8 @@ def replicate(
     """Run independent replications; (replications, rounds, metrics) array.
 
     Identical output for any job count: seeds are derived per replication
-    and results are placed by replication index.
+    and results are placed by replication index. At most one worker per
+    CPU and per replication is started.
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
@@ -184,10 +130,11 @@ def replicate(
         (params, derive_seed(base_seed, cell_index, rep))
         for rep in range(replications)
     ]
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, replications)
+    if workers <= 1:
         results = [_replication_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication_task, tasks, chunksize=16))
     return np.stack(results)
 
@@ -331,10 +278,10 @@ def validate_against_analysis(
     trace = run_simulation(config, roster=roster)
 
     class_info = {
-        "t_ie": (VoterClass.INFORMED_ENGAGED, a.n_ie),
-        "t_ue": (VoterClass.UNINFORMED_ENGAGED, a.n_ue),
-        "t_id": (VoterClass.INFORMED_DISENGAGED, a.n_id),
-        "t_ud": (VoterClass.UNINFORMED_DISENGAGED, a.n_ud),
+        "t_ie": ("tokens_IE", a.n_ie),
+        "t_ue": ("tokens_UE", a.n_ue),
+        "t_id": ("tokens_ID", a.n_id),
+        "t_ud": ("tokens_UD", a.n_ud),
     }
     errors = {name: 0.0 for name in (*_ORACLE_SERIES, "t_total", "value_per_token")}
     for record, row in trace:
@@ -343,16 +290,18 @@ def validate_against_analysis(
             raise ConfigurationError(
                 f"idealized run produced an incorrect decision at round {k}"
             )
+        metrics = dict(zip(METRIC_NAMES, row.tolist()))
         for name, fn in _ORACLE_SERIES.items():
-            cls, n_cls = class_info[name]
+            column, n_cls = class_info[name]
             if n_cls == 0:
                 continue
-            sim = row.tokens[cls] / n_cls
+            sim = metrics[column] / n_cls
             errors[name] = max(errors[name], _rel_err(sim, fn(a, k)))
-        errors["t_total"] = max(errors["t_total"], _rel_err(row.t_total, total_tokens(a, k)))
+        t_total = metrics["t_total"]
+        errors["t_total"] = max(errors["t_total"], _rel_err(t_total, total_tokens(a, k)))
         errors["value_per_token"] = max(
             errors["value_per_token"],
-            _rel_err(row.lurp_raw / row.t_total, value_per_token(a, k)),
+            _rel_err(metrics["lurp_raw"] / t_total, value_per_token(a, k)),
         )
     return ValidationReport(
         k_max=k_max,

@@ -1,4 +1,4 @@
-"""Registry value and per-class wealth metrics.
+"""Registry value and per-class wealth metrics, and their column layout.
 
 Value counts per-item collective decisions, one unit of reward or penalty
 each. The raw value can go negative; a clamped-at-zero variant is also
@@ -8,34 +8,23 @@ emitted and, by default, used for wealth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .protocol import TcrState
 from .voters import VoterClass
 
-CLASS_ORDER = (
-    VoterClass.INFORMED_ENGAGED,
-    VoterClass.INFORMED_DISENGAGED,
-    VoterClass.UNINFORMED_ENGAGED,
-    VoterClass.UNINFORMED_DISENGAGED,
+CLASS_ORDER = tuple(VoterClass)
+
+# One metrics row per round, in this order; wealth is NaN for an empty class
+# so cross-seed aggregation can skip it instead of biasing means with zeros.
+METRIC_NAMES = (
+    "lurp_raw",
+    "lurp_clamped",
+    "t_total",
+    *(f"tokens_{cls.value}" for cls in CLASS_ORDER),
+    *(f"wealth_{cls.value}" for cls in CLASS_ORDER),
 )
-
-
-@dataclass
-class MetricsRow:
-    """Per-round snapshot: value, total tokens, per-class tokens and wealth.
-
-    Wealth is NaN for an empty class so cross-seed aggregation can skip it
-    instead of biasing means with zeros.
-    """
-
-    round_index: int
-    lurp_raw: int
-    lurp_clamped: int
-    t_total: float
-    tokens: dict[VoterClass, float]
-    counts: dict[VoterClass, int]
-    wealth: dict[VoterClass, float]  # NaN when the class is empty
 
 
 def lurp(v_correct: int, v_incorrect: int) -> int:
@@ -50,35 +39,22 @@ def class_wealth(w_tot: float, t_tot: float, t_a: float, n_a: int) -> float:
 
     NaN for an empty class.
     """
-    if t_tot <= 0:
+    if not t_tot > 0:
         raise ValueError(f"total tokens must be positive, got {t_tot}")
     if n_a == 0:
         return math.nan
     return (w_tot / t_tot) * (t_a / n_a)
 
 
-def snapshot(state: TcrState) -> MetricsRow:
-    """Assemble the full metrics row for the current state; pure read."""
+def snapshot(state: TcrState) -> np.ndarray:
+    """The current state as one float row in METRIC_NAMES order; pure read."""
     raw = lurp(state.v_correct, state.v_incorrect)
     clamped = max(0, raw)
     value = clamped if state.params.clamp_value else raw
     t_total = state.total_tokens
-    tokens: dict[VoterClass, float] = {}
-    counts: dict[VoterClass, int] = {}
-    wealth: dict[VoterClass, float] = {}
-    for cls in CLASS_ORDER:
-        mask = state.class_masks[cls]
-        t_a = float(state.balances[mask].sum())
-        n_a = int(mask.sum())
-        tokens[cls] = t_a
-        counts[cls] = n_a
-        wealth[cls] = class_wealth(value, t_total, t_a, n_a)
-    return MetricsRow(
-        round_index=state.round_index,
-        lurp_raw=raw,
-        lurp_clamped=clamped,
-        t_total=t_total,
-        tokens=tokens,
-        counts=counts,
-        wealth=wealth,
-    )
+    tokens = [float(state.balances[state.class_masks[cls]].sum()) for cls in CLASS_ORDER]
+    wealth = [
+        class_wealth(value, t_total, t_a, state.class_sizes[cls])
+        for cls, t_a in zip(CLASS_ORDER, tokens)
+    ]
+    return np.array([raw, clamped, t_total, *tokens, *wealth], dtype=float)

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 
 class ConfigurationError(ValueError):
     """Raised when parameters or config files are invalid."""
+
+
+def check_finite(params) -> None:
+    """Reject NaN and infinite float fields of a parameter dataclass."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -27,13 +36,12 @@ class AnalysisSigmaStake:
     sigma: float
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not 0.0 < self.sigma < 1.0:
             raise ConfigurationError(f"sigma must be in (0, 1), got {self.sigma}")
 
 
 StakePolicy = ProtocolStake | AnalysisSigmaStake
-
-TIE_RULE = "reject_and_refund"
 
 _PROBABILITY_FIELDS = (
     "p_engaged",
@@ -68,10 +76,10 @@ class SimParams:
     p_correct_uninformed: float = 0.15
     p_item_good: float = 0.5
     stake_policy: StakePolicy = field(default_factory=ProtocolStake)
-    tie_rule: str = TIE_RULE
     clamp_value: bool = True
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.num_voters < 1:
             raise ConfigurationError(f"num_voters must be >= 1, got {self.num_voters}")
         if self.num_items < 0:
@@ -94,7 +102,3 @@ class SimParams:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {p}")
         if not isinstance(self.stake_policy, (ProtocolStake, AnalysisSigmaStake)):
             raise ConfigurationError(f"unknown stake policy: {self.stake_policy!r}")
-        if self.tie_rule != TIE_RULE:
-            raise ConfigurationError(
-                f"only tie_rule={TIE_RULE!r} is supported, got {self.tie_rule!r}"
-            )

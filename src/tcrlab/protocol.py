@@ -1,31 +1,29 @@
 """The registry state machine: staking, tally, settlement, inflation.
 
-One round processes one candidate item: compute the required stake, filter
-out intents that cannot cover it, tally the votes cast, move the stake pool
+One round processes one candidate item: draw the item, compute the required
+stake, draw participation intents and filter out those that cannot cover
+the stake, draw the eligible voters' votes, tally them, move the stake pool
 to the winning side, inflate the balances of everyone who voted, and record
-the decision. Balances live in a numpy array so whole-roster steps stay
-cheap; `VoterState` is the per-voter view used by the voter model.
+the decision. Balances live in a numpy array and every step works on
+boolean masks over the voters, so whole-roster steps stay cheap.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .params import AnalysisSigmaStake, ConfigurationError, ProtocolStake, SimParams
-from .voters import VoterClass
+from .voters import RngStream, VoterClass
 
 REL_TOL = 1e-9
 
 
 class InvariantViolation(RuntimeError):
     """A protocol invariant (conservation, non-negativity, ...) was broken."""
-
-
-class ContractViolation(ValueError):
-    """A caller passed inputs that violate an operation's precondition."""
 
 
 class Decision(enum.Enum):
@@ -37,20 +35,6 @@ class Decision(enum.Enum):
 class Item:
     item_id: int
     is_good: bool
-
-
-@dataclass
-class VoterState:
-    """One voter: immutable class flags plus the current token balance."""
-
-    voter_id: int
-    is_engaged: bool
-    is_informed: bool
-    balance: float
-
-    @property
-    def voter_class(self) -> VoterClass:
-        return VoterClass.from_flags(self.is_engaged, self.is_informed)
 
 
 @dataclass
@@ -74,8 +58,9 @@ class TcrState:
     """Registry state between rounds.
 
     Balances, engagement and informedness are parallel arrays indexed by
-    voter id. A completed round always yields exactly one decision, so
-    ``round_index == v_correct + v_incorrect`` at all times.
+    voter id. Classes never change during a run, so their masks and sizes
+    are fixed here. A completed round always yields exactly one decision,
+    so ``round_index == v_correct + v_incorrect`` at all times.
     """
 
     def __init__(self, params: SimParams, balances: np.ndarray,
@@ -94,6 +79,8 @@ class TcrState:
             VoterClass.UNINFORMED_ENGAGED: ~is_informed & is_engaged,
             VoterClass.UNINFORMED_DISENGAGED: ~is_informed & ~is_engaged,
         }
+        self.class_sizes = {cls: int(mask.sum()) for cls, mask in self.class_masks.items()}
+        self.p_vote = np.where(is_engaged, params.p_vote_engaged, params.p_vote_disengaged)
 
     @property
     def num_voters(self) -> int:
@@ -102,18 +89,6 @@ class TcrState:
     @property
     def total_tokens(self) -> float:
         return float(self.balances.sum())
-
-    def voter(self, voter_id: int) -> VoterState:
-        return VoterState(
-            voter_id=voter_id,
-            is_engaged=bool(self.is_engaged[voter_id]),
-            is_informed=bool(self.is_informed[voter_id]),
-            balance=float(self.balances[voter_id]),
-        )
-
-    @property
-    def voters(self) -> list[VoterState]:
-        return [self.voter(j) for j in range(self.num_voters)]
 
 
 def init_registry(params: SimParams, roster: list[tuple[bool, bool]]) -> TcrState:
@@ -145,76 +120,72 @@ def tally(add_count: int, reject_count: int) -> Decision:
     return Decision.ADD if add_count > reject_count else Decision.REJECT
 
 
-def settle(state: TcrState, stake: float, add_voters: frozenset[int],
-           reject_voters: frozenset[int], decision: Decision) -> float:
+def settle(state: TcrState, stake: float, add: np.ndarray, reject: np.ndarray,
+           decision: Decision) -> float:
     """Move the stake pool to the winning side; returns the per-winner payout.
 
-    Ties (equal sides, including the empty round) refund every stake, so the
-    payout equals the stake and no balance moves. Transfers are zero-sum.
+    ``add`` and ``reject`` are disjoint voter masks. Ties (equal sides,
+    including the empty round) refund every stake, so the payout equals the
+    stake and no balance moves. Transfers are zero-sum.
     """
-    winners = add_voters if decision is Decision.ADD else reject_voters
-    losers = reject_voters if decision is Decision.ADD else add_voters
-    if len(winners) == len(losers):
+    winners, losers = (add, reject) if decision is Decision.ADD else (reject, add)
+    n_win, n_lose = int(winners.sum()), int(losers.sum())
+    if n_win == n_lose:
         return stake
-    if not winners:
-        # Only possible if losers is also empty, handled above.
+    if n_win == 0:
         raise InvariantViolation("non-tie round with no winners")
-    pool = stake * (len(add_voters) + len(reject_voters))
-    payout = pool / len(winners)
-    w_idx = np.fromiter(winners, dtype=np.intp, count=len(winners))
-    state.balances[w_idx] += payout - stake
-    if losers:
-        l_idx = np.fromiter(losers, dtype=np.intp, count=len(losers))
-        state.balances[l_idx] -= stake
+    payout = stake * (n_win + n_lose) / n_win
+    state.balances[winners] += payout - stake
+    state.balances[losers] -= stake
     return payout
 
 
-def apply_inflation(state: TcrState, participants: frozenset[int], delta: float) -> None:
+def apply_inflation(state: TcrState, participants: np.ndarray, delta: float) -> None:
     """Multiply every participant's post-settlement balance by (1 + delta).
 
     Losing voters are inflated too; forced abstainers and non-voters are not.
     """
-    if not participants or delta == 0.0:
-        return
-    idx = np.fromiter(participants, dtype=np.intp, count=len(participants))
-    state.balances[idx] *= 1.0 + delta
+    if delta != 0.0:
+        state.balances[participants] *= 1.0 + delta
 
 
-def run_round(state: TcrState, item: Item, participation_intents: frozenset[int],
-              votes: dict[int, Decision]) -> RoundRecord:
-    """Execute one full round in fixed order; mutates state, returns the audit.
+def run_round(state: TcrState, rng: RngStream) -> RoundRecord:
+    """Draw and execute one full round in fixed order; mutates state, returns the audit.
 
-    `votes` must be keyed exactly by the eligible participants: those who
-    intend to vote and can cover the stake.
+    Draws follow the contract in ``voters.py``: the item, one participation
+    draw per voter, then one vote draw per eligible voter in voter-id order.
     """
+    p = state.params
+    item = Item(state.round_index, bool(rng.uniform() < p.p_item_good))
     stake = required_stake(state)
-    eligible = frozenset(
-        j for j in participation_intents
-        if state.balances[j] >= stake * (1.0 - REL_TOL)
-    )
-    forced = participation_intents - eligible
-    if set(votes) != eligible:
-        raise ContractViolation(
-            f"votes keyed by {sorted(votes)} but eligible voters are {sorted(eligible)}"
-        )
-    add_voters = frozenset(j for j, v in votes.items() if v is Decision.ADD)
-    reject_voters = eligible - add_voters
+    intends = rng.uniform(state.num_voters) < state.p_vote
+    eligible = intends & (state.balances >= stake * (1.0 - REL_TOL))
+    ids = np.flatnonzero(eligible)
+    p_correct = np.where(state.is_informed[ids], p.p_correct_informed, p.p_correct_uninformed)
+    add = np.zeros_like(eligible)
+    add[ids] = (rng.uniform(ids.size) < p_correct) == item.is_good
+    reject = eligible & ~add
 
     pre_settle_total = state.total_tokens
-    decision = tally(len(add_voters), len(reject_voters))
-    payout = settle(state, stake, add_voters, reject_voters, decision)
+    decision = tally(int(add.sum()), int(reject.sum()))
+    payout = settle(state, stake, add, reject, decision)
     post_settle_total = state.total_tokens
     _check_close(post_settle_total, pre_settle_total, "settlement zero-sum")
 
-    part_idx = np.fromiter(eligible, dtype=np.intp, count=len(eligible))
-    participant_tokens = float(state.balances[part_idx].sum()) if len(eligible) else 0.0
-    apply_inflation(state, eligible, state.params.inflation_rate)
+    participant_tokens = float(state.balances[eligible].sum())
+    apply_inflation(state, eligible, p.inflation_rate)
+    total = state.total_tokens
+    if not math.isfinite(total):
+        raise ConfigurationError(
+            f"token balances overflow at round {state.round_index}: "
+            f"inflation_rate {p.inflation_rate} compounds past the float range"
+        )
     _check_close(
-        state.total_tokens,
-        post_settle_total + state.params.inflation_rate * participant_tokens,
+        total,
+        post_settle_total + p.inflation_rate * participant_tokens,
         "inflation bookkeeping",
     )
-    if float(state.balances.min()) < -REL_TOL * max(1.0, stake):
+    if not state.balances.min() >= -REL_TOL * max(1.0, stake):
         raise InvariantViolation(f"negative balance after round {state.round_index}")
 
     decision_correct = (decision is Decision.ADD) == item.is_good
@@ -228,22 +199,29 @@ def run_round(state: TcrState, item: Item, participation_intents: frozenset[int]
     if state.round_index != state.v_correct + state.v_incorrect:
         raise InvariantViolation("round_index out of sync with decision counts")
 
+    participants = frozenset(ids.tolist())
+    intended = _ids(intends)
+    add_voters = _ids(add)
     return RoundRecord(
         round_index=state.round_index - 1,
         item=item,
         stake=stake,
-        intended_participants=participation_intents,
-        forced_abstentions=forced,
+        intended_participants=intended,
+        forced_abstentions=intended - participants,
         add_voters=add_voters,
-        reject_voters=reject_voters,
+        reject_voters=participants - add_voters,
         decision=decision,
         decision_correct=decision_correct,
         per_winner_payout=payout,
-        inflation_applied_to=eligible,
+        inflation_applied_to=participants,
     )
+
+
+def _ids(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def _check_close(actual: float, expected: float, what: str) -> None:
     scale = max(abs(expected), 1.0)
-    if abs(actual - expected) > REL_TOL * scale:
+    if not abs(actual - expected) <= REL_TOL * scale:
         raise InvariantViolation(f"{what}: {actual!r} != {expected!r}")

@@ -17,15 +17,15 @@ import numpy as np
 from .harness import (
     AggregateStats,
     BehaviorMode,
-    METRIC_NAMES,
     RunConfig,
     STAT_NAMES,
     SweepSpec,
     ValidationReport,
 )
-from .metrics import CLASS_ORDER, MetricsRow
+from .metrics import CLASS_ORDER, METRIC_NAMES
 from .params import AnalysisSigmaStake, ConfigurationError, ProtocolStake, SimParams
-from .protocol import Decision, RoundRecord
+from .protocol import RoundRecord, init_registry
+from .voters import RngStream, sample_roster
 
 TRACE_COLUMNS = (
     "round",
@@ -37,17 +37,7 @@ TRACE_COLUMNS = (
     "forced_abstentions",
     "add_votes",
     "reject_votes",
-    "lurp_raw",
-    "lurp_clamped",
-    "t_total",
-    "tokens_IE",
-    "tokens_ID",
-    "tokens_UE",
-    "tokens_UD",
-    "wealth_IE",
-    "wealth_ID",
-    "wealth_UE",
-    "wealth_UD",
+    *METRIC_NAMES,
 )
 
 
@@ -145,10 +135,7 @@ def sweep_spec_from_file(path: str | Path) -> SweepSpec:
 
 
 def _load_json(path: str | Path):
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -157,7 +144,7 @@ def _load_json(path: str | Path):
 
 # --- trace output -----------------------------------------------------------
 
-def write_trace_csv(path: Path, trace: list[tuple[RoundRecord, MetricsRow]]) -> None:
+def write_trace_csv(path: Path, trace: list[tuple[RoundRecord, np.ndarray]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
@@ -165,8 +152,8 @@ def write_trace_csv(path: Path, trace: list[tuple[RoundRecord, MetricsRow]]) -> 
             writer.writerow(trace_csv_row(record, row))
 
 
-def trace_csv_row(record: RoundRecord, row: MetricsRow) -> list[str]:
-    cells = [
+def trace_csv_row(record: RoundRecord, row: np.ndarray) -> list[str]:
+    return [
         str(record.round_index),
         _bool(record.item.is_good),
         record.decision.value,
@@ -176,17 +163,12 @@ def trace_csv_row(record: RoundRecord, row: MetricsRow) -> list[str]:
         str(len(record.forced_abstentions)),
         str(len(record.add_voters)),
         str(len(record.reject_voters)),
-        str(row.lurp_raw),
-        str(row.lurp_clamped),
-        fmt(row.t_total),
+        *(fmt(x) for x in row.tolist()),
     ]
-    cells += [fmt(row.tokens[cls]) for cls in CLASS_ORDER]
-    cells += [fmt(row.wealth[cls]) for cls in CLASS_ORDER]
-    return cells
 
 
 def write_summary_json(
-    path: Path, config: RunConfig, trace: list[tuple[RoundRecord, MetricsRow]]
+    path: Path, config: RunConfig, trace: list[tuple[RoundRecord, np.ndarray]]
 ) -> None:
     doc = {
         "seed": config.base_seed,
@@ -195,14 +177,20 @@ def write_summary_json(
         "rounds": len(trace),
     }
     if trace:
-        _, final = trace[-1]
-        doc["class_counts"] = {cls.value: final.counts[cls] for cls in CLASS_ORDER}
+        # The roster is the first draw on the run's stream (see voters.py),
+        # so replaying it gives the class sizes of the run.
+        params = config.effective_params()
+        state = init_registry(params, sample_roster(params, RngStream(config.base_seed)))
+        final = dict(zip(METRIC_NAMES, trace[-1][1].tolist()))
+        doc["class_counts"] = {cls.value: state.class_sizes[cls] for cls in CLASS_ORDER}
         doc["final"] = {
-            "lurp_raw": final.lurp_raw,
-            "lurp_clamped": final.lurp_clamped,
-            "t_total": final.t_total,
-            "tokens": {cls.value: final.tokens[cls] for cls in CLASS_ORDER},
-            "wealth": {cls.value: _json_num(final.wealth[cls]) for cls in CLASS_ORDER},
+            "lurp_raw": int(final["lurp_raw"]),
+            "lurp_clamped": int(final["lurp_clamped"]),
+            "t_total": final["t_total"],
+            "tokens": {cls.value: final[f"tokens_{cls.value}"] for cls in CLASS_ORDER},
+            "wealth": {
+                cls.value: _json_num(final[f"wealth_{cls.value}"]) for cls in CLASS_ORDER
+            },
         }
     _dump_json(path, doc)
 

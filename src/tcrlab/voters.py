@@ -5,21 +5,16 @@ stream seeded once. The roster is sampled first (one block of uniforms for
 engagement, then one for informedness, voter-id order). Then, per round:
 one draw for the item's polarity, one participation draw per voter in
 voter-id order, and finally one vote draw per *eligible* participant in
-voter-id order. Vectorized and per-voter consumption produce the same
-sequence because both pull uniforms off the same stream in that order.
+voter-id order.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .params import SimParams
-
-if TYPE_CHECKING:
-    from .protocol import Decision, Item, VoterState
 
 
 class RngStream:
@@ -59,24 +54,3 @@ def sample_roster(params: SimParams, rng: RngStream) -> list[tuple[bool, bool]]:
     informed = rng.uniform(n) < params.p_informed
     return [(bool(e), bool(i)) for e, i in zip(engaged, informed)]
 
-
-def decide_participation(voter: "VoterState", params: SimParams, rng: RngStream) -> bool:
-    """Fresh per-round participation intent draw for one voter."""
-    p = params.p_vote_engaged if voter.is_engaged else params.p_vote_disengaged
-    return rng.uniform() < p
-
-
-def cast_vote(voter: "VoterState", item: "Item", params: SimParams, rng: RngStream) -> "Decision":
-    """Draw one vote: correct with the voter's class probability.
-
-    A correct vote adds a good item or rejects a bad one; an incorrect vote
-    does the opposite.
-    """
-    from .protocol import Decision
-
-    p_correct = (
-        params.p_correct_informed if voter.is_informed else params.p_correct_uninformed
-    )
-    correct = rng.uniform() < p_correct
-    votes_add = correct == item.is_good
-    return Decision.ADD if votes_add else Decision.REJECT

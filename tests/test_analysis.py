@@ -3,7 +3,6 @@ import pytest
 from tcrlab.analysis import (
     AnalysisParams,
     asymptotic_classification,
-    series_at,
     tokens_disengaged,
     tokens_informed_engaged,
     tokens_uninformed_engaged,
@@ -33,6 +32,13 @@ class TestParamsValidation:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ConfigurationError):
             AnalysisParams(t0=100, sigma=1.0, delta=0.02, n_ie=2, n_ue=1, n_id=0, n_ud=0)
+
+    @pytest.mark.parametrize("field", ["t0", "sigma", "delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(t0=100.0, sigma=0.05, delta=0.02, n_ie=2, n_ue=1, n_id=0, n_ud=0)
+        with pytest.raises(ConfigurationError):
+            AnalysisParams(**{**kwargs, field: value})
 
 
 class TestDisengaged:
@@ -100,12 +106,12 @@ class TestTotalTokens:
 
     @pytest.mark.parametrize("k", [0, 1, 10, 100])
     def test_partition_identity(self, k):
-        s = series_at(BASE, k)
         weighted = (
-            BASE.n_ie * s.t_ie + BASE.n_ue * s.t_ue
-            + BASE.n_id * s.t_id + BASE.n_ud * s.t_ud
+            BASE.n_ie * tokens_informed_engaged(BASE, k)
+            + BASE.n_ue * tokens_uninformed_engaged(BASE, k)
+            + (BASE.n_id + BASE.n_ud) * tokens_disengaged(BASE, k)
         )
-        assert s.t_total == pytest.approx(weighted, rel=1e-12)
+        assert total_tokens(BASE, k) == pytest.approx(weighted, rel=1e-12)
 
 
 class TestValuePerToken:

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tcrlab
 from tcrlab.cli import main
 from tcrlab.serialize import TRACE_COLUMNS
 
@@ -65,6 +70,41 @@ class TestSimulate:
 
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 3
+
+    def test_tie_rule_is_not_a_config_key(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert "tie_rule" not in summary["params"]
+        cfg = write_json(tmp_path / "cfg.json", {"tie_rule": "reject_and_refund"})
+        assert main(["simulate", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['tie_rule']\n"
+
+
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ('{"inflation_rate": NaN}', ["simulate", "{config}"]),
+        ('{"initial_tokens": Infinity}', ["simulate", "{config}"]),
+        (None, ["validate", "--delta", "nan"]),
+        (None, ["validate", "--sigma", "inf"]),
+        ('{"grid": {"inflation_rate": [NaN]}, "replications": 1}', ["sweep", "{config}"]),
+    ],
+)
+def test_non_finite_input_exits_2_with_one_line(tmp_path, config, argv):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(config)
+    argv = [str(cfg) if a == "{config}" else a for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(tcrlab.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "tcrlab.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("error: ") and "must be finite" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 class TestSweep:

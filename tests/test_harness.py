@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tcrlab import harness
 from tcrlab.analysis import AnalysisParams
 from tcrlab.harness import (
     BehaviorMode,
@@ -9,7 +10,6 @@ from tcrlab.harness import (
     SweepSpec,
     aggregate_metrics,
     derive_seed,
-    metrics_array,
     replicate,
     run_simulation,
     run_sweep,
@@ -20,13 +20,17 @@ from tcrlab.params import ConfigurationError, SimParams
 IDX = {name: i for i, name in enumerate(METRIC_NAMES)}
 
 
+def metrics(trace):
+    return np.array([row for _, row in trace])
+
+
 class TestRunSimulation:
     def test_default_run_shape(self):
         trace = run_simulation(RunConfig(SimParams(), base_seed=42))
         assert len(trace) == 50
         record, row = trace[-1]
         assert record.round_index == 49
-        assert row.round_index == 50
+        assert row.shape == (len(METRIC_NAMES),)
 
     def test_zero_rounds(self):
         trace = run_simulation(RunConfig(SimParams(num_items=0), base_seed=1))
@@ -34,18 +38,18 @@ class TestRunSimulation:
 
     def test_deterministic(self):
         config = RunConfig(SimParams(), base_seed=7)
-        a = metrics_array(run_simulation(config))
-        b = metrics_array(run_simulation(config))
+        a = metrics(run_simulation(config))
+        b = metrics(run_simulation(config))
         assert np.array_equal(a, b)
 
     def test_seed_changes_trace(self):
-        a = metrics_array(run_simulation(RunConfig(SimParams(), base_seed=1)))
-        b = metrics_array(run_simulation(RunConfig(SimParams(), base_seed=2)))
+        a = metrics(run_simulation(RunConfig(SimParams(), base_seed=1)))
+        b = metrics(run_simulation(RunConfig(SimParams(), base_seed=2)))
         assert not np.array_equal(a, b)
 
     def test_no_inflation_conserves_total(self):
         trace = run_simulation(RunConfig(SimParams(inflation_rate=0.0), base_seed=3))
-        totals = [row.t_total for _, row in trace]
+        totals = metrics(trace)[:, IDX["t_total"]]
         assert max(totals) - min(totals) <= 1e-9 * 10000
 
     def test_degenerate_mode_requires_informed_majority(self):
@@ -99,6 +103,37 @@ class TestReplicate:
     def test_invalid_replications(self):
         with pytest.raises(ConfigurationError):
             replicate(SimParams(), 0, base_seed=0)
+
+    def test_pool_capped_by_cpus_and_replications(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Runs tasks in this process and records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        params = SimParams(num_items=2, num_voters=5)
+        serial = replicate(params, 8, base_seed=0, jobs=1)
+        parallel = replicate(params, 8, base_seed=0, jobs=10**6)
+        assert np.array_equal(parallel, serial, equal_nan=True)
+        replicate(params, 3, base_seed=0, jobs=10**6)
+        replicate(params, 8, base_seed=0, jobs=2)
+        assert started == [4, 3, 2]
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        replicate(params, 8, base_seed=0, jobs=8)
+        assert started == [4, 3, 2]  # CPU count unknown: runs serially
 
 
 class TestSweep:

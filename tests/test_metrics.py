@@ -1,11 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
-from tcrlab.metrics import CLASS_ORDER, class_wealth, lurp, snapshot
+from tcrlab.metrics import CLASS_ORDER, METRIC_NAMES, class_wealth, lurp, snapshot
 from tcrlab.params import SimParams
-from tcrlab.protocol import Decision, Item, init_registry, run_round
-from tcrlab.voters import VoterClass
+from tcrlab.protocol import init_registry, run_round
+from tcrlab.voters import RngStream
+
+TOKENS = [f"tokens_{cls.value}" for cls in CLASS_ORDER]
+WEALTH = [f"wealth_{cls.value}" for cls in CLASS_ORDER]
+
+
+def named(row):
+    return dict(zip(METRIC_NAMES, row.tolist()))
 
 
 class TestLurp:
@@ -47,52 +55,60 @@ def mixed_state(**kwargs):
 class TestSnapshot:
     def test_round_zero(self):
         state = mixed_state()
-        row = snapshot(state)
-        assert row.lurp_raw == 0 and row.lurp_clamped == 0
-        assert row.t_total == pytest.approx(400.0)
-        for cls in CLASS_ORDER:
-            assert row.counts[cls] == 1
-            assert row.tokens[cls] == pytest.approx(100.0)
-            assert row.wealth[cls] == 0.0
+        row = named(snapshot(state))
+        assert row["lurp_raw"] == 0 and row["lurp_clamped"] == 0
+        assert row["t_total"] == pytest.approx(400.0)
+        assert all(n == 1 for n in state.class_sizes.values())
+        for t, w in zip(TOKENS, WEALTH):
+            assert row[t] == pytest.approx(100.0)
+            assert row[w] == 0.0
 
     def test_partition_identity(self):
         state = mixed_state()
         state.balances[0] = 123.456
-        row = snapshot(state)
-        assert sum(row.tokens.values()) == pytest.approx(row.t_total, rel=1e-9)
-        assert sum(row.counts.values()) == 4
+        row = named(snapshot(state))
+        assert sum(row[t] for t in TOKENS) == pytest.approx(row["t_total"], rel=1e-9)
+        assert sum(state.class_sizes.values()) == 4
 
     def test_inflation_bookkeeping_after_unanimous_round(self):
-        state = mixed_state(inflation_rate=0.02)
-        intents = frozenset(range(4))
-        votes = {j: Decision.ADD for j in range(4)}
-        run_round(state, Item(0, is_good=True), intents, votes)
-        row = snapshot(state)
+        state = mixed_state(
+            inflation_rate=0.02, p_vote_engaged=1.0, p_vote_disengaged=1.0,
+            p_correct_informed=1.0, p_correct_uninformed=1.0, p_item_good=1.0,
+        )
+        run_round(state, RngStream(0))
+        row = named(snapshot(state))
         # unanimous settlement is neutral; inflation adds 2% of participant tokens
-        assert row.t_total == pytest.approx(400.0 + 0.02 * 400.0, rel=1e-9)
-        assert row.lurp_raw == 1
+        assert row["t_total"] == pytest.approx(400.0 + 0.02 * 400.0, rel=1e-9)
+        assert row["lurp_raw"] == 1
 
     def test_clamping(self):
         state = mixed_state()
         state.v_incorrect = 3
         state.round_index = 3
-        row = snapshot(state)
-        assert row.lurp_raw == -3
-        assert row.lurp_clamped == 0
-        for cls in CLASS_ORDER:
-            assert row.wealth[cls] == 0.0
+        row = named(snapshot(state))
+        assert row["lurp_raw"] == -3
+        assert row["lurp_clamped"] == 0
+        for w in WEALTH:
+            assert row[w] == 0.0
 
     def test_raw_value_used_when_clamp_disabled(self):
         state = mixed_state(clamp_value=False)
         state.v_incorrect = 2
         state.round_index = 2
-        row = snapshot(state)
-        assert row.wealth[VoterClass.INFORMED_ENGAGED] == pytest.approx(
-            (-2 / 400.0) * 100.0
-        )
+        row = named(snapshot(state))
+        assert row["wealth_IE"] == pytest.approx((-2 / 400.0) * 100.0)
 
     def test_idempotent(self):
         state = mixed_state()
         first = snapshot(state)
         second = snapshot(state)
-        assert first == second
+        assert first.shape == (len(METRIC_NAMES),)
+        assert np.array_equal(first, second)
+
+
+def test_metric_layout():
+    assert METRIC_NAMES == (
+        "lurp_raw", "lurp_clamped", "t_total",
+        "tokens_IE", "tokens_ID", "tokens_UE", "tokens_UD",
+        "wealth_IE", "wealth_ID", "wealth_UE", "wealth_UD",
+    )

@@ -31,7 +31,11 @@ def test_defaults_are_valid():
         {"p_engaged": 1.5},
         {"p_informed": -0.1},
         {"p_item_good": 2.0},
-        {"tie_rule": "split"},
+        {"inflation_rate": float("nan")},
+        {"initial_tokens": float("inf")},
+        {"initial_stake": float("nan")},
+        {"p_engaged": float("nan")},
+        {"num_voters": float("nan")},
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -39,7 +43,7 @@ def test_invalid_params_rejected(kwargs):
         SimParams(**kwargs)
 
 
-@pytest.mark.parametrize("sigma", [0.0, 1.0, -0.2, 1.5])
+@pytest.mark.parametrize("sigma", [0.0, 1.0, -0.2, 1.5, float("nan"), float("inf")])
 def test_analysis_sigma_out_of_range(sigma):
     with pytest.raises(ConfigurationError):
         AnalysisSigmaStake(sigma=sigma)

@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcrlab.harness import RunConfig, metrics_array, run_simulation
-from tcrlab.metrics import snapshot
+from tcrlab.harness import RunConfig, run_simulation
+from tcrlab.metrics import METRIC_NAMES, snapshot
 from tcrlab.params import SimParams
-from tcrlab.protocol import Decision, init_registry, settle, tally
+from tcrlab.protocol import init_registry, settle, tally
 from tcrlab.voters import RngStream, VoterClass, sample_roster
 
 probability = st.floats(min_value=0.0, max_value=1.0)
@@ -18,9 +18,11 @@ def settlement_cases(draw):
     n = draw(st.integers(min_value=1, max_value=40))
     stake = draw(st.floats(min_value=0.01, max_value=50.0))
     sides = draw(st.lists(st.booleans(), min_size=0, max_size=n))
-    add = frozenset(i for i, s in enumerate(sides) if s)
-    rej = frozenset(i for i, s in enumerate(sides) if not s)
-    return n, stake, add, rej
+    voted = np.zeros(n, dtype=bool)
+    voted[: len(sides)] = True
+    add = np.zeros(n, dtype=bool)
+    add[: len(sides)] = sides
+    return n, stake, add, voted & ~add
 
 
 @given(settlement_cases())
@@ -31,7 +33,7 @@ def test_settlement_is_zero_sum(case):
         [(True, True)] * n,
     )
     before = state.total_tokens
-    settle(state, stake, add, rej, tally(len(add), len(rej)))
+    settle(state, stake, add, rej, tally(add.sum(), rej.sum()))
     assert abs(state.total_tokens - before) <= 1e-9 * max(before, 1.0)
 
 
@@ -42,8 +44,8 @@ def test_tie_and_unanimous_rounds_are_wealth_neutral(case):
         SimParams(num_voters=n, initial_tokens=100.0, initial_stake=50.0),
         [(True, True)] * n,
     )
-    if len(add) == len(rej) or not add or not rej:
-        settle(state, stake, add, rej, tally(len(add), len(rej)))
+    if add.sum() == rej.sum() or not add.any() or not rej.any():
+        settle(state, stake, add, rej, tally(add.sum(), rej.sum()))
         assert np.allclose(state.balances, 100.0, rtol=1e-9)
 
 
@@ -74,27 +76,30 @@ def test_full_run_invariants(config):
     # inside run_round itself; a finishing run already certifies them.
     trace = run_simulation(config)
     assert len(trace) == config.sim_params.num_items
-    for record, row in trace:
-        assert row.round_index == record.round_index + 1
-        assert row.lurp_clamped == max(0, row.lurp_raw)
-        assert abs(sum(row.tokens.values()) - row.t_total) <= 1e-9 * max(row.t_total, 1.0)
-        assert sum(row.counts.values()) == config.sim_params.num_voters
+    for r, (record, row) in enumerate(trace):
+        row = dict(zip(METRIC_NAMES, row.tolist()))
+        assert record.round_index == r
+        assert row["lurp_clamped"] == max(0, row["lurp_raw"])
+        tokens = sum(row[f"tokens_{cls.value}"] for cls in VoterClass)
+        assert abs(tokens - row["t_total"]) <= 1e-9 * max(row["t_total"], 1.0)
         assert record.add_voters.isdisjoint(record.reject_voters)
+        assert record.add_voters | record.reject_voters == record.inflation_applied_to
         assert (record.add_voters | record.reject_voters).isdisjoint(
             record.forced_abstentions
         )
-    _, final_row = trace[-1]
-    assert final_row.round_index == config.sim_params.num_items
+        assert record.intended_participants == (
+            record.inflation_applied_to | record.forced_abstentions
+        )
     if config.sim_params.inflation_rate == 0.0:
-        totals = [row.t_total for _, row in trace]
+        totals = [row[METRIC_NAMES.index("t_total")] for _, row in trace]
         assert max(totals) - min(totals) <= 1e-9 * max(totals)
 
 
 @settings(max_examples=60, deadline=None)
 @given(sim_configs())
 def test_runs_are_deterministic(config):
-    a = metrics_array(run_simulation(config))
-    b = metrics_array(run_simulation(config))
+    a = [row for _, row in run_simulation(config)]
+    b = [row for _, row in run_simulation(config)]
     assert np.array_equal(a, b, equal_nan=True)
 
 
@@ -108,8 +113,9 @@ def test_roster_classes_partition_voters(n, p_e, p_i, seed):
     params = SimParams(num_voters=n, p_engaged=p_e, p_informed=p_i)
     roster = sample_roster(params, RngStream(seed))
     state = init_registry(params, roster)
-    row = snapshot(state)
-    assert sum(row.counts.values()) == n
-    assert sum(row.tokens.values()) == state.total_tokens
+    row = dict(zip(METRIC_NAMES, snapshot(state).tolist()))
+    assert sum(state.class_sizes.values()) == n
+    assert sum(row[f"tokens_{cls.value}"] for cls in VoterClass) == state.total_tokens
     for cls in VoterClass:
-        assert int(state.class_masks[cls].sum()) == row.counts[cls]
+        assert int(state.class_masks[cls].sum()) == state.class_sizes[cls]
+        assert sum(VoterClass.from_flags(e, i) is cls for e, i in roster) == state.class_sizes[cls]

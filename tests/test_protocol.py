@@ -3,9 +3,8 @@ import pytest
 
 from tcrlab.params import AnalysisSigmaStake, ConfigurationError, SimParams
 from tcrlab.protocol import (
-    ContractViolation,
     Decision,
-    Item,
+    InvariantViolation,
     apply_inflation,
     init_registry,
     required_stake,
@@ -13,12 +12,24 @@ from tcrlab.protocol import (
     settle,
     tally,
 )
+from tcrlab.voters import RngStream
+
+# Engaged voters always intend and disengaged never do; informed voters are
+# always correct and uninformed always wrong; every item is good. A round's
+# votes then follow from the roster alone, whatever the draws.
+SURE = dict(p_vote_engaged=1.0, p_vote_disengaged=0.0, p_correct_informed=1.0,
+            p_correct_uninformed=0.0, p_item_good=1.0)
 
 
-def make_state(n=100, initial_tokens=100.0, **kwargs):
+def make_state(n=100, initial_tokens=100.0, roster=None, **kwargs):
     params = SimParams(num_voters=n, initial_tokens=initial_tokens, **kwargs)
-    roster = [(True, True)] * n
-    return init_registry(params, roster)
+    return init_registry(params, roster or [(True, True)] * n)
+
+
+def mask(n, ids):
+    out = np.zeros(n, dtype=bool)
+    out[list(ids)] = True
+    return out
 
 
 class TestInitRegistry:
@@ -86,61 +97,57 @@ class TestTally:
 class TestSettle:
     def test_split_rule_arithmetic(self):
         state = make_state(n=60)
-        add = frozenset(range(35))
-        rej = frozenset(range(35, 60))
+        add, rej = mask(60, range(35)), mask(60, range(35, 60))
         payout = settle(state, 5.0, add, rej, Decision.ADD)
         assert payout == pytest.approx(300.0 / 35)
-        for j in add:
-            assert state.balances[j] == pytest.approx(100.0 + 300.0 / 35 - 5.0)
-        for j in rej:
-            assert state.balances[j] == pytest.approx(95.0)
+        assert np.allclose(state.balances[add], 100.0 + 300.0 / 35 - 5.0)
+        assert np.allclose(state.balances[rej], 95.0)
 
     def test_unanimous_round_is_neutral(self):
         state = make_state(n=40)
-        add = frozenset(range(40))
-        settle(state, 5.0, add, frozenset(), Decision.ADD)
+        settle(state, 5.0, mask(40, range(40)), mask(40, ()), Decision.ADD)
         assert np.allclose(state.balances, 100.0)
 
     def test_tie_refunds_everyone(self):
         state = make_state(n=60)
-        add = frozenset(range(30))
-        rej = frozenset(range(30, 60))
-        payout = settle(state, 5.0, add, rej, Decision.REJECT)
+        payout = settle(state, 5.0, mask(60, range(30)), mask(60, range(30, 60)),
+                        Decision.REJECT)
         assert payout == pytest.approx(5.0)
         assert np.allclose(state.balances, 100.0)
 
     def test_zero_participants_no_change(self):
         state = make_state(n=10)
-        settle(state, 5.0, frozenset(), frozenset(), Decision.REJECT)
+        settle(state, 5.0, mask(10, ()), mask(10, ()), Decision.REJECT)
         assert np.allclose(state.balances, 100.0)
 
     def test_conservation(self):
         state = make_state(n=50)
         before = state.total_tokens
-        settle(state, 7.3, frozenset(range(20)), frozenset(range(20, 45)), Decision.REJECT)
+        settle(state, 7.3, mask(50, range(20)), mask(50, range(20, 45)), Decision.REJECT)
         assert state.total_tokens == pytest.approx(before, rel=1e-9)
 
 
 class TestApplyInflation:
     def test_participant_inflated(self):
         state = make_state(n=2)
-        apply_inflation(state, frozenset({0}), 0.02)
+        apply_inflation(state, mask(2, {0}), 0.02)
         assert state.balances[0] == pytest.approx(102.0)
         assert state.balances[1] == pytest.approx(100.0)
 
     def test_zero_delta_is_identity(self):
         state = make_state(n=5)
-        apply_inflation(state, frozenset(range(5)), 0.0)
+        apply_inflation(state, mask(5, range(5)), 0.0)
         assert np.allclose(state.balances, 100.0)
 
 
 class TestRunRound:
     def test_add_decision_on_good_item(self):
-        state = make_state(n=100)
-        item = Item(0, is_good=True)
-        intents = frozenset(range(60))
-        votes = {j: (Decision.ADD if j < 35 else Decision.REJECT) for j in range(60)}
-        record = run_round(state, item, intents, votes)
+        # 35 informed and 25 uninformed engaged voters, 40 disengaged
+        roster = [(True, True)] * 35 + [(True, False)] * 25 + [(False, True)] * 40
+        state = make_state(n=100, roster=roster, **SURE)
+        record = run_round(state, RngStream(0))
+        assert record.intended_participants == frozenset(range(60))
+        assert record.add_voters == frozenset(range(35))
         assert record.decision is Decision.ADD
         assert record.decision_correct
         assert state.v_correct == 1 and state.v_incorrect == 0
@@ -149,35 +156,59 @@ class TestRunRound:
         assert record.add_voters.isdisjoint(record.reject_voters)
 
     def test_zero_participation_rejects_bad_item(self):
-        state = make_state(n=10)
+        state = make_state(n=10, **{**SURE, "p_vote_engaged": 0.0, "p_item_good": 0.0})
         before = state.balances.copy()
-        record = run_round(state, Item(0, is_good=False), frozenset(), {})
+        record = run_round(state, RngStream(0))
+        assert record.intended_participants == frozenset()
         assert record.decision is Decision.REJECT
         assert record.decision_correct
         assert state.v_correct == 1
         assert np.array_equal(state.balances, before)
 
     def test_vote_from_ineligible_voter_rejected(self):
-        state = make_state(n=10)
-        votes = {0: Decision.ADD, 5: Decision.ADD}  # 5 never intended to vote
-        with pytest.raises(ContractViolation):
-            run_round(state, Item(0, is_good=True), frozenset({0}), votes)
+        # Voter 3 is priced out and voters 4..9 never intend: none of them
+        # votes, and only the 3 eligible voters consume vote draws.
+        roster = [(True, True)] * 4 + [(False, True)] * 6
+        state = make_state(n=10, roster=roster, **SURE)
+        state.balances[3] = 1.0
+        rng = RngStream(5)
+        record = run_round(state, rng)
+        assert record.inflation_applied_to == frozenset({0, 1, 2})
+        assert record.add_voters | record.reject_voters == frozenset({0, 1, 2})
+        replay = RngStream(5)
+        replay.uniform(1 + 10 + 3)
+        assert rng.uniform() == replay.uniform()
 
     def test_forced_abstention_recorded_and_uninflated(self):
-        state = make_state(n=4)
+        state = make_state(n=4, inflation_rate=0.02, **SURE)
         state.balances[3] = 1.0  # below the required stake
-        intents = frozenset(range(4))
-        votes = {j: Decision.ADD for j in range(3)}
-        record = run_round(state, Item(0, is_good=True), intents, votes)
+        record = run_round(state, RngStream(0))
+        assert record.intended_participants == frozenset(range(4))
         assert record.forced_abstentions == frozenset({3})
         assert 3 not in record.inflation_applied_to
         assert state.balances[3] == pytest.approx(1.0)
+        assert np.allclose(state.balances[:3], 102.0)
 
     def test_tie_round_is_wealth_neutral(self):
-        state = make_state(n=10, inflation_rate=0.0)
-        intents = frozenset(range(10))
-        votes = {j: (Decision.ADD if j < 5 else Decision.REJECT) for j in range(10)}
-        record = run_round(state, Item(0, is_good=True), intents, votes)
+        roster = [(True, True)] * 5 + [(True, False)] * 5
+        state = make_state(n=10, roster=roster, inflation_rate=0.0, **SURE)
+        record = run_round(state, RngStream(0))
+        assert len(record.add_voters) == len(record.reject_voters) == 5
         assert record.decision is Decision.REJECT
         assert record.per_winner_payout == pytest.approx(record.stake)
         assert np.allclose(state.balances, 100.0)
+
+
+class TestInvariantsFailOnNan:
+    def test_nan_balance_raises(self):
+        state = make_state(n=4)
+        state.balances[0] = np.nan
+        with pytest.raises(InvariantViolation):
+            run_round(state, RngStream(0))
+
+    def test_overflow_is_a_configuration_error(self):
+        # Each balance stays finite, but their doubled sum does not.
+        state = make_state(n=2, inflation_rate=1.0, **SURE)
+        state.balances[:] = 6e307
+        with pytest.raises(ConfigurationError, match="overflow"), np.errstate(over="ignore"):
+            run_round(state, RngStream(0))

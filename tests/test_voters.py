@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from tcrlab.params import SimParams
-from tcrlab.protocol import Decision, Item, VoterState
-from tcrlab.voters import (
-    RngStream,
-    VoterClass,
-    cast_vote,
-    decide_participation,
-    sample_roster,
-)
+from tcrlab.protocol import init_registry, run_round
+from tcrlab.voters import RngStream, VoterClass, sample_roster
 
 
-def voter(is_engaged=True, is_informed=True):
-    return VoterState(voter_id=0, is_engaged=is_engaged, is_informed=is_informed,
-                      balance=100.0)
+def one_round(roster, seed=0, **kwargs):
+    """Run one round over a fixed roster; every intending voter can cover the stake."""
+    state = init_registry(SimParams(num_voters=len(roster), **kwargs), roster)
+    return run_round(state, RngStream(seed))
 
 
 class TestRngStream:
@@ -80,57 +75,43 @@ class TestSampleRoster:
 
 class TestDecideParticipation:
     def test_engaged_always_votes_at_one(self):
-        params = SimParams(p_vote_engaged=1.0)
-        rng = RngStream(0)
-        assert all(
-            decide_participation(voter(is_engaged=True), params, rng)
-            for _ in range(100)
-        )
+        record = one_round([(True, True)] * 100, p_vote_engaged=1.0)
+        assert record.intended_participants == frozenset(range(100))
 
     def test_disengaged_never_votes_at_zero(self):
-        params = SimParams(p_vote_disengaged=0.0)
-        rng = RngStream(0)
-        assert not any(
-            decide_participation(voter(is_engaged=False), params, rng)
-            for _ in range(100)
-        )
+        record = one_round([(False, True)] * 100, p_vote_disengaged=0.0)
+        assert record.intended_participants == frozenset()
 
     def test_frequency_matches_probability(self):
         # 10000 draws at p=0.8: 3 sigma band is +-0.012
-        params = SimParams(p_vote_engaged=0.8)
-        rng = RngStream(99)
-        hits = sum(
-            decide_participation(voter(is_engaged=True), params, rng)
-            for _ in range(10000)
-        )
-        assert abs(hits / 10000 - 0.8) <= 0.012
+        record = one_round([(True, True)] * 10000, seed=99, p_vote_engaged=0.8)
+        assert abs(len(record.intended_participants) / 10000 - 0.8) <= 0.012
+
 
 
 class TestCastVote:
     def test_informed_certain_correct_good_item(self):
-        params = SimParams(p_correct_informed=1.0)
-        v = cast_vote(voter(is_informed=True), Item(0, is_good=True), params, RngStream(0))
-        assert v is Decision.ADD
+        record = one_round([(True, True)] * 10, p_correct_informed=1.0, p_item_good=1.0,
+                           p_vote_engaged=1.0)
+        assert record.add_voters == frozenset(range(10))
 
     def test_uninformed_certain_incorrect_good_item(self):
-        params = SimParams(p_correct_uninformed=0.0)
-        v = cast_vote(voter(is_informed=False), Item(0, is_good=True), params, RngStream(0))
-        assert v is Decision.REJECT
+        record = one_round([(True, False)] * 10, p_correct_uninformed=0.0,
+                           p_item_good=1.0, p_vote_engaged=1.0)
+        assert record.reject_voters == frozenset(range(10))
 
     def test_reject_frequency_on_bad_item(self):
         # informed at 0.85 correct on a bad item: Reject with p=0.85,
         # 3 sigma over 10000 draws is +-0.011
-        params = SimParams(p_correct_informed=0.85)
-        rng = RngStream(321)
-        item = Item(0, is_good=False)
-        rejects = sum(
-            cast_vote(voter(is_informed=True), item, params, rng) is Decision.REJECT
-            for _ in range(10000)
-        )
-        assert abs(rejects / 10000 - 0.85) <= 0.011
+        record = one_round([(True, True)] * 10000, seed=321, p_correct_informed=0.85,
+                           p_item_good=0.0, p_vote_engaged=1.0)
+        assert len(record.inflation_applied_to) == 10000
+        assert abs(len(record.reject_voters) / 10000 - 0.85) <= 0.011
 
     @pytest.mark.parametrize("is_good", [True, False])
     def test_correctness_symmetric_in_item_polarity(self, is_good):
-        params = SimParams(p_correct_informed=1.0)
-        v = cast_vote(voter(), Item(0, is_good=is_good), params, RngStream(0))
-        assert (v is Decision.ADD) == is_good
+        record = one_round([(True, True)] * 10, p_correct_informed=1.0,
+                           p_item_good=float(is_good), p_vote_engaged=1.0)
+        assert record.item.is_good is is_good
+        side = record.add_voters if is_good else record.reject_voters
+        assert side == frozenset(range(10))
