@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .params import ConfigurationError, check_finite
+from .params import ConfigurationError, check_fields
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class AnalysisParams:
     n_ud: int
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        check_fields(self)
         if self.t0 <= 0:
             raise ConfigurationError(f"t0 must be > 0, got {self.t0}")
         if not 0.0 < self.sigma < 1.0:

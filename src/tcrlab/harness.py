@@ -12,6 +12,7 @@ import enum
 import itertools
 import os
 import warnings
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -25,10 +26,10 @@ from .analysis import (
     total_tokens,
     value_per_token,
 )
-from .metrics import METRIC_NAMES, snapshot
-from .params import AnalysisSigmaStake, ConfigurationError, SimParams
-from .protocol import RoundRecord, init_registry, run_round
-from .voters import RngStream, VoterClass, sample_roster
+from .metrics import CLASS_ORDER, METRIC_NAMES, metric_rows
+from .params import AnalysisSigmaStake, ConfigurationError, SimParams, check_fields, check_seed
+from .protocol import InvariantViolation, RoundRecord, TcrState, init_registry, run_round
+from .voters import RngStream, sample_roster
 
 
 class BehaviorMode(enum.Enum):
@@ -50,6 +51,9 @@ class RunConfig:
     base_seed: int = 0
     behavior_mode: BehaviorMode = BehaviorMode.STOCHASTIC
 
+    def __post_init__(self) -> None:
+        check_seed(self.base_seed)
+
     def effective_params(self) -> SimParams:
         if self.behavior_mode is BehaviorMode.DEGENERATE_IDEAL:
             return replace(
@@ -63,29 +67,63 @@ class RunConfig:
 
 
 def run_simulation(
-    config: RunConfig, roster: list[tuple[bool, bool]] | None = None
+    config: RunConfig, roster: Sequence[tuple[bool, bool]] | np.ndarray | None = None
 ) -> list[tuple[RoundRecord, np.ndarray]]:
     """Execute all rounds; returns the full (audit, metrics row) trace.
 
-    Each metrics row is a float array in METRIC_NAMES order. A fixed roster
-    may be supplied (no roster draws are consumed then); otherwise the
-    roster is sampled from the stream first.
+    This is the lockstep kernel with one replication. Each metrics row is a
+    float array in METRIC_NAMES order. A fixed roster, N (is_engaged,
+    is_informed) pairs, may be supplied (no roster draws are consumed then);
+    otherwise the roster is sampled from the stream first.
     """
     params = config.effective_params()
     rng = RngStream(config.base_seed)
     if roster is None:
         roster = sample_roster(params, rng)
-    state = init_registry(params, roster)
+    state = init_registry(params, [roster])
     if config.behavior_mode is BehaviorMode.DEGENERATE_IDEAL:
-        n_ie = state.class_sizes[VoterClass.INFORMED_ENGAGED]
-        n_ue = state.class_sizes[VoterClass.UNINFORMED_ENGAGED]
+        n_ie, _, n_ue, _ = state.class_sizes[0].tolist()
         if n_ie <= n_ue:
             raise ConfigurationError(
                 "degenerate-ideal mode requires more informed-engaged than "
                 f"uninformed-engaged voters, got {n_ie} vs {n_ue}"
             )
-    with np.errstate(over="ignore"):  # run_round reports an overflow itself
-        return [(run_round(state, rng), snapshot(state)) for _ in range(params.num_items)]
+    records = []
+    rows = _advance(state, [rng], lambda rnd: records.append(rnd.record()))
+    return list(zip(records, rows[0]))
+
+
+def run_block(params: SimParams, seeds: list[int]) -> np.ndarray:
+    """Replications in lockstep, one stream per seed; (len(seeds), rounds, metrics) array.
+
+    Each replication's rows are those ``run_simulation`` gives for its seed.
+    """
+    rngs = [RngStream(seed) for seed in seeds]
+    state = init_registry(params, [sample_roster(params, rng) for rng in rngs])
+    return _advance(state, rngs)
+
+
+def _advance(state: TcrState, rngs: list[RngStream], on_round=None) -> np.ndarray:
+    """Run every round of a block; returns its (R, rounds, metrics) rows.
+
+    ``on_round``, if given, is called with each round's ``Round``. What the
+    metrics need is observed after each round; the rows are computed once,
+    at the end.
+    """
+    rows, rounds = len(rngs), state.params.num_items
+    v_correct = np.empty((rows, rounds), dtype=np.int64)
+    t_total = np.empty((rows, rounds))
+    tokens = np.empty((rows, rounds, len(CLASS_ORDER)))
+    with np.errstate(over="ignore", invalid="ignore"):  # run_round checks every row
+        for k in range(rounds):
+            rnd = run_round(state, rngs)
+            if on_round is not None:
+                on_round(rnd)
+            v_correct[:, k] = state.v_correct
+            t_total[:, k] = rnd.total
+            tokens[:, k] = state.class_tokens()
+    return metric_rows(state.params.clamp_value, state.class_sizes[:, None], v_correct,
+                       np.arange(1, rounds + 1), t_total, tokens)
 
 
 _MASK64 = (1 << 64) - 1
@@ -105,10 +143,51 @@ def derive_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
     return _mix64(h ^ _mix64(rep_index & _MASK64))
 
 
-def _replication_task(args: tuple[SimParams, int]) -> np.ndarray:
-    params, seed = args
-    trace = run_simulation(RunConfig(sim_params=params, base_seed=seed))
-    return np.array([row for _, row in trace]).reshape(len(trace), len(METRIC_NAMES))
+# Voter slots (replications x voters) per lockstep block; larger cells are
+# split into more blocks, which bounds a block's memory.
+BLOCK_SLOTS = 2**18
+
+
+def _block_task(task: tuple[SimParams, int, int, int, int]) -> np.ndarray:
+    params, base_seed, cell_index, start, stop = task
+    seeds = [derive_seed(base_seed, cell_index, rep) for rep in range(start, stop)]
+    try:
+        return run_block(params, seeds)
+    except InvariantViolation as exc:
+        rep = "?" if exc.row is None else start + exc.row
+        raise InvariantViolation(f"cell {cell_index}, replication {rep}: {exc}") from exc
+
+
+def _replicate_cells(
+    cells: list[tuple[int, SimParams]], replications: int, base_seed: int, jobs: int
+) -> Iterator[np.ndarray]:
+    """Each cell's (replications, rounds, metrics) samples, in the order given.
+
+    A cell's replications run in contiguous lockstep blocks, one block per
+    worker or more when a block would exceed BLOCK_SLOTS. At most one
+    process pool is started, with at most one worker per CPU and per
+    replication, and it runs the blocks of every cell. Results are placed
+    by (cell, replication), so the output is identical for any job count.
+    """
+    workers = min(jobs, os.cpu_count() or 1, replications * len(cells))
+    tasks = []
+    for cell_index, params in cells:
+        per_block = max(1, min(-(-replications // max(workers, 1)),
+                               BLOCK_SLOTS // params.num_voters))
+        tasks += [
+            (params, base_seed, cell_index, start, min(start + per_block, replications))
+            for start in range(0, replications, per_block)
+        ]
+    if workers <= 1:
+        yield from _by_cell(tasks, map(_block_task, tasks))
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from _by_cell(tasks, pool.map(_block_task, tasks))
+
+
+def _by_cell(tasks, blocks) -> Iterator[np.ndarray]:
+    for _, group in itertools.groupby(zip(tasks, blocks), key=lambda tb: tb[0][2]):
+        yield np.concatenate([block for _, block in group])
 
 
 def replicate(
@@ -120,23 +199,13 @@ def replicate(
 ) -> np.ndarray:
     """Run independent replications; (replications, rounds, metrics) array.
 
-    Identical output for any job count: seeds are derived per replication
-    and results are placed by replication index. At most one worker per
-    CPU and per replication is started.
+    Replication r is seeded with ``derive_seed(base_seed, cell_index, r)``.
+    Identical output for any job count.
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
-    tasks = [
-        (params, derive_seed(base_seed, cell_index, rep))
-        for rep in range(replications)
-    ]
-    workers = min(jobs, os.cpu_count() or 1, replications)
-    if workers <= 1:
-        results = [_replication_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_task, tasks, chunksize=16))
-    return np.stack(results)
+    [samples] = _replicate_cells([(cell_index, params)], replications, base_seed, jobs)
+    return samples
 
 
 @dataclass(frozen=True)
@@ -149,6 +218,8 @@ class SweepSpec:
     base_params: SimParams = SimParams()
 
     def __post_init__(self) -> None:
+        check_fields(self)
+        check_seed(self.base_seed)
         if not self.grid:
             raise ConfigurationError("sweep grid must name at least one parameter")
         valid = {f.name for f in fields(SimParams)}
@@ -205,26 +276,44 @@ def aggregate_metrics(samples: np.ndarray) -> tuple[dict[str, np.ndarray], np.nd
                 "std": np.nanstd(samples, axis=0),
                 "min": np.nanmin(samples, axis=0),
                 "max": np.nanmax(samples, axis=0),
-                "p5": np.nanpercentile(samples, 5, axis=0),
-                "p95": np.nanpercentile(samples, 95, axis=0),
             }
+    stats["p5"], stats["p95"] = _nan_percentiles(samples, counts, (5, 95))
     return stats, counts
 
 
+def _nan_percentiles(samples: np.ndarray, counts: np.ndarray, q) -> np.ndarray:
+    """``np.nanpercentile(samples, q, axis=0)``, bit for bit.
+
+    A column's percentile depends only on its sorted non-NaN values. Sorting
+    puts NaNs last, so a column with c values has them in its first c rows,
+    and one ``np.percentile`` call serves every column with c values.
+    """
+    columns = samples.reshape(len(samples), -1)
+    ordered = np.sort(columns, axis=0)
+    flat_counts = counts.reshape(-1)
+    out = np.full((len(q), columns.shape[1]), np.nan)
+    for c in np.unique(flat_counts[flat_counts > 0]):
+        cols = np.flatnonzero(flat_counts == c)
+        out[:, cols] = np.percentile(ordered[:c, cols], q, axis=0)
+    return out.reshape(len(q), *samples.shape[1:])
+
+
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> AggregateStats:
-    """Run every grid cell x replication and aggregate across seeds."""
-    cells = []
-    for cell_index, overrides in enumerate(spec.cells()):
-        params = replace(spec.base_params, **overrides)
-        samples = replicate(
-            params, spec.replications, spec.base_seed, cell_index=cell_index, jobs=jobs
-        )
+    """Run every grid cell x replication and aggregate across seeds.
+
+    One process pool, when ``jobs`` > 1, runs the replications of every cell.
+    """
+    overrides = spec.cells()
+    cells = [(c, replace(spec.base_params, **o)) for c, o in enumerate(overrides)]
+    aggregates = []
+    runs = _replicate_cells(cells, spec.replications, spec.base_seed, jobs)
+    for samples, params in zip(runs, overrides):
         stats, counts = aggregate_metrics(samples)
-        cells.append(CellAggregate(params=overrides, stats=stats, counts=counts))
+        aggregates.append(CellAggregate(params=params, stats=stats, counts=counts))
     return AggregateStats(
         metric_names=METRIC_NAMES,
         replications=spec.replications,
-        cells=tuple(cells),
+        cells=tuple(aggregates),
     )
 
 
@@ -256,6 +345,13 @@ def validate_against_analysis(
     """
     if k_max < 0:
         raise ConfigurationError(f"k_max must be >= 0, got {k_max}")
+    try:
+        total_tokens(a, k_max)  # (1 + delta)^k grows with k, so k_max is the worst case
+    except OverflowError as exc:
+        raise ConfigurationError(
+            f"the closed form overflows the float range by round {k_max}: "
+            f"(1 + delta)^k with delta {a.delta}"
+        ) from exc
     n = a.n_ie + a.n_ue + a.n_id + a.n_ud
     params = SimParams(
         num_voters=n,

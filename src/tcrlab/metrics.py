@@ -7,11 +7,8 @@ emitted and, by default, used for wealth.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .protocol import TcrState
 from .voters import VoterClass
 
 CLASS_ORDER = tuple(VoterClass)
@@ -27,34 +24,37 @@ METRIC_NAMES = (
 )
 
 
-def lurp(v_correct: int, v_incorrect: int) -> int:
+def lurp(v_correct, v_incorrect):
     """Linear unit reward and penalty: correct minus incorrect decisions."""
-    if v_correct < 0 or v_incorrect < 0:
+    if (np.minimum(v_correct, v_incorrect) < 0).any():
         raise ValueError("decision counts must be non-negative")
     return v_correct - v_incorrect
 
 
-def class_wealth(w_tot: float, t_tot: float, t_a: float, n_a: int) -> float:
+def class_wealth(w_tot, t_tot, t_a, n_a):
     """Average wealth per voter of a class: (w_tot / t_tot) * (t_a / n_a).
 
-    NaN for an empty class.
+    Works elementwise on arrays; NaN for an empty class.
     """
-    if not t_tot > 0:
+    if not np.greater(t_tot, 0).all():
         raise ValueError(f"total tokens must be positive, got {t_tot}")
-    if n_a == 0:
-        return math.nan
-    return (w_tot / t_tot) * (t_a / n_a)
+    per_voter = np.divide(t_a, n_a, out=np.full(np.shape(t_a), np.nan), where=n_a != 0)
+    return np.divide(w_tot, t_tot) * per_voter
 
 
-def snapshot(state: TcrState) -> np.ndarray:
-    """The current state as one float row in METRIC_NAMES order; pure read."""
-    raw = lurp(state.v_correct, state.v_incorrect)
-    clamped = max(0, raw)
-    value = clamped if state.params.clamp_value else raw
-    t_total = state.total_tokens
-    tokens = [float(state.balances[state.class_masks[cls]].sum()) for cls in CLASS_ORDER]
-    wealth = [
-        class_wealth(value, t_total, t_a, state.class_sizes[cls])
-        for cls, t_a in zip(CLASS_ORDER, tokens)
-    ]
-    return np.array([raw, clamped, t_total, *tokens, *wealth], dtype=float)
+def metric_rows(clamp_value: bool, class_sizes, v_correct, rounds, t_total, tokens) -> np.ndarray:
+    """Metric rows in METRIC_NAMES order from what a run observed after each round.
+
+    ``v_correct`` (correct decisions), ``rounds`` (rounds done) and
+    ``t_total`` (token supply) share a shape S; ``tokens`` is S + (4,) in
+    CLASS_ORDER, and ``class_sizes`` broadcasts against it. Returns
+    S + (len(METRIC_NAMES),).
+    """
+    raw = lurp(v_correct, rounds - v_correct)
+    clamped = np.maximum(raw, 0)
+    value = clamped if clamp_value else raw
+    wealth = class_wealth(value[..., None], t_total[..., None], tokens, class_sizes)
+    return np.concatenate(
+        (raw[..., None], clamped[..., None], t_total[..., None], tokens, wealth), axis=-1
+    )
+

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 
@@ -10,12 +11,33 @@ class ConfigurationError(ValueError):
     """Raised when parameters or config files are invalid."""
 
 
-def check_finite(params) -> None:
-    """Reject NaN and infinite float fields of a parameter dataclass."""
+def check_fields(params) -> None:
+    """Check the types of a parameter dataclass's int, float and bool fields.
+
+    An int field takes an integer, a float field an integer or a finite
+    real, and a bool field a bool; a bool is not accepted as a number.
+    The modules that call it postpone annotations, so ``f.type`` is a string.
+    """
     for f in fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        if f.type == "bool":
+            if not isinstance(value, bool):
+                raise ConfigurationError(f"{f.name} must be true or false, got {value!r}")
+        elif f.type == "int":
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+        elif f.type == "float":
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+
+
+def check_seed(seed) -> None:
+    """Seeds are integers in [0, 2**64)."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= int(seed) < 2**64):
+        raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -36,7 +58,7 @@ class AnalysisSigmaStake:
     sigma: float
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        check_fields(self)
         if not 0.0 < self.sigma < 1.0:
             raise ConfigurationError(f"sigma must be in (0, 1), got {self.sigma}")
 
@@ -79,7 +101,7 @@ class SimParams:
     clamp_value: bool = True
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        check_fields(self)
         if self.num_voters < 1:
             raise ConfigurationError(f"num_voters must be >= 1, got {self.num_voters}")
         if self.num_items < 0:

@@ -159,10 +159,10 @@ def trace_csv_row(record: RoundRecord, row: np.ndarray) -> list[str]:
         record.decision.value,
         _bool(record.decision_correct),
         fmt(record.stake),
-        str(len(record.inflation_applied_to)),
-        str(len(record.forced_abstentions)),
-        str(len(record.add_voters)),
-        str(len(record.reject_voters)),
+        str(record.n_participants),
+        str(record.n_forced),
+        str(record.n_add),
+        str(record.n_reject),
         *(fmt(x) for x in row.tolist()),
     ]
 
@@ -180,9 +180,11 @@ def write_summary_json(
         # The roster is the first draw on the run's stream (see voters.py),
         # so replaying it gives the class sizes of the run.
         params = config.effective_params()
-        state = init_registry(params, sample_roster(params, RngStream(config.base_seed)))
+        state = init_registry(params, [sample_roster(params, RngStream(config.base_seed))])
         final = dict(zip(METRIC_NAMES, trace[-1][1].tolist()))
-        doc["class_counts"] = {cls.value: state.class_sizes[cls] for cls in CLASS_ORDER}
+        doc["class_counts"] = {
+            cls.value: n for cls, n in zip(CLASS_ORDER, state.class_sizes[0].tolist())
+        }
         doc["final"] = {
             "lurp_raw": int(final["lurp_raw"]),
             "lurp_clamped": int(final["lurp_clamped"]),
@@ -205,27 +207,28 @@ def write_aggregate_csv(path: Path, agg: AggregateStats) -> None:
         writer.writerow(header)
         for cell in agg.cells:
             cell_cols = [_param_str(cell.params.get(name)) for name in param_names]
-            rounds = cell.counts.shape[0]
-            for r in range(rounds):
+            stats = [cell.stats[s].tolist() for s in STAT_NAMES]
+            for r, counts in enumerate(cell.counts.tolist()):
                 for m, metric in enumerate(agg.metric_names):
                     writer.writerow(
                         cell_cols
                         + [str(r), metric]
-                        + [fmt(float(cell.stats[s][r, m])) for s in STAT_NAMES]
-                        + [str(int(cell.counts[r, m]))]
+                        + [fmt(stat[r][m]) for stat in stats]
+                        + [str(counts[m])]
                     )
 
 
 def write_aggregate_json(path: Path, agg: AggregateStats) -> None:
     cells = []
     for cell in agg.cells:
+        stats = {s: cell.stats[s].tolist() for s in STAT_NAMES}
         rounds = []
-        for r in range(cell.counts.shape[0]):
+        for r, counts in enumerate(cell.counts.tolist()):
             per_metric = {}
             for m, metric in enumerate(agg.metric_names):
                 per_metric[metric] = {
-                    **{s: _json_num(float(cell.stats[s][r, m])) for s in STAT_NAMES},
-                    "count": int(cell.counts[r, m]),
+                    **{s: _json_num(stats[s][r][m]) for s in STAT_NAMES},
+                    "count": counts[m],
                 }
             rounds.append(per_metric)
         cells.append({"params": _jsonable(cell.params), "rounds": rounds})

@@ -5,7 +5,8 @@ stream seeded once. The roster is sampled first (one block of uniforms for
 engagement, then one for informedness, voter-id order). Then, per round:
 one draw for the item's polarity, one participation draw per voter in
 voter-id order, and finally one vote draw per *eligible* participant in
-voter-id order.
+voter-id order. The item and participation draws are taken as one vector
+of N + 1, which yields the same numbers as N + 1 scalar draws.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ class VoterClass(enum.Enum):
         return cls.UNINFORMED_ENGAGED if is_engaged else cls.UNINFORMED_DISENGAGED
 
 
-def sample_roster(params: SimParams, rng: RngStream) -> list[tuple[bool, bool]]:
+def sample_roster(params: SimParams, rng: RngStream) -> np.ndarray:
     """Sample (is_engaged, is_informed) per voter from two independent Bernoullis.
 
-    Classes are fixed for the whole run.
+    Returns an (N, 2) boolean array in voter-id order. Classes are fixed for
+    the whole run.
     """
     n = params.num_voters
     engaged = rng.uniform(n) < params.p_engaged
     informed = rng.uniform(n) < params.p_informed
-    return [(bool(e), bool(i)) for e, i in zip(engaged, informed)]
-
+    return np.column_stack((engaged, informed))

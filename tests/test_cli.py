@@ -91,6 +91,31 @@ class TestSimulate:
     ],
 )
 def test_non_finite_input_exits_2_with_one_line(tmp_path, config, argv):
+    run_bad_input(tmp_path, config, argv, "must be finite")
+
+
+@pytest.mark.parametrize(
+    "config,argv,message",
+    [
+        ('{"num_voters": 10.5}', ["simulate", "{config}"], "num_voters must be an integer"),
+        ('{"p_engaged": true}', ["simulate", "{config}"], "p_engaged must be a number"),
+        ('{"clamp_value": 1}', ["simulate", "{config}"], "clamp_value must be true or false"),
+        (None, ["simulate", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
+        (None, ["simulate", "--seed", str(2**64)], "seed must be an integer in [0, 2**64)"),
+        ('{"grid": {"p_informed": [0.5]}, "replications": "3"}', ["sweep", "{config}"],
+         "replications must be an integer"),
+        ('{"grid": {"p_informed": [0.5]}, "replications": 1, "base_seed": -1}',
+         ["sweep", "{config}"], "seed must be an integer in [0, 2**64)"),
+        (None, ["validate", "--t0", "1e-5", "--k", "1760", "--delta", "0.5"],
+         "the closed form overflows the float range"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, config, argv, message):
+    run_bad_input(tmp_path, config, argv, message)
+
+
+def run_bad_input(tmp_path, config, argv, message):
+    """Run the CLI in a subprocess: exit 2, one stderr line naming the fault, no output."""
     cfg = tmp_path / "cfg.json"
     if config is not None:
         cfg.write_text(config)
@@ -102,7 +127,7 @@ def test_non_finite_input_exits_2_with_one_line(tmp_path, config, argv):
     )
     assert done.returncode == 2
     assert len(done.stderr.splitlines()) == 1, done.stderr
-    assert done.stderr.startswith("error: ") and "must be finite" in done.stderr
+    assert done.stderr.startswith("error: ") and message in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
 

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,8 @@ from tcrlab.harness import (
     run_sweep,
     validate_against_analysis,
 )
-from tcrlab.params import ConfigurationError, SimParams
+from tcrlab.params import AnalysisSigmaStake, ConfigurationError, SimParams
+from tcrlab.protocol import InvariantViolation
 
 IDX = {name: i for i, name in enumerate(METRIC_NAMES)}
 
@@ -135,6 +139,113 @@ class TestReplicate:
         replicate(params, 8, base_seed=0, jobs=8)
         assert started == [4, 3, 2]  # CPU count unknown: runs serially
 
+    def test_one_pool_per_sweep(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                # every cell is split into one contiguous block per worker
+                assert [t[2:] for t in tasks] == [
+                    (c, start, start + 3) for c in range(4) for start in (0, 3)
+                ]
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        spec = SweepSpec(
+            grid=(("p_informed", (0.1, 0.9)), ("inflation_rate", (0.0, 0.05))),
+            replications=6, base_seed=2, base_params=SimParams(num_items=5, num_voters=9),
+        )
+        agg = run_sweep(spec, jobs=2)
+        assert started == [2]
+        serial = run_sweep(spec, jobs=1)
+        for a, b in zip(agg.cells, serial.cells):
+            for name in a.stats:
+                assert np.array_equal(a.stats[name], b.stats[name], equal_nan=True)
+
+    def test_blocks_capped_by_voter_slots(self, monkeypatch):
+        params = SimParams(num_items=20, num_voters=7, initial_stake=40.0)
+        whole = replicate(params, 11, base_seed=5, cell_index=2)
+        monkeypatch.setattr(harness, "BLOCK_SLOTS", 30)  # 4 replications per block
+        blocks = []
+        run_block = harness.run_block
+        monkeypatch.setattr(harness, "run_block",
+                            lambda p, seeds: blocks.append(len(seeds)) or run_block(p, seeds))
+        split = replicate(params, 11, base_seed=5, cell_index=2)
+        assert blocks == [4, 4, 3]
+        assert np.array_equal(whole, split, equal_nan=True)
+
+    def test_invariant_violation_names_cell_replication_and_seed(self, monkeypatch):
+        run_round = harness.run_round
+
+        def corrupt_row_2_at_round_3(state, rngs):
+            if state.round_index == 3:
+                state.balances[2, 0] = np.nan
+            return run_round(state, rngs)
+
+        monkeypatch.setattr(harness, "run_round", corrupt_row_2_at_round_3)
+        with pytest.raises(InvariantViolation) as exc:
+            replicate(SimParams(num_items=5, num_voters=10), 4, base_seed=8, cell_index=1)
+        seed = derive_seed(8, 1, 2)
+        assert str(exc.value) == (
+            f"cell 1, replication 2: settlement zero-sum at round 3 (seed {seed}): nan != nan"
+        )
+
+
+# Cells whose every replication must come out of a block exactly as it comes
+# out of run_simulation alone.
+BATCH_CELLS = {
+    "protocol stake": SimParams(num_items=30),
+    "sigma stake": SimParams(num_items=30, stake_policy=AnalysisSigmaStake(0.1),
+                             inflation_rate=0.05),
+    "raw value": SimParams(num_items=30, clamp_value=False, p_informed=0.1),
+    # forced abstentions in most rounds, and tied and empty rounds
+    "7 voters at stake 40": SimParams(num_voters=7, num_items=60, initial_stake=40.0),
+    "3 voters, empty classes": SimParams(num_voters=3, num_items=30),
+    "no rounds": SimParams(num_items=0),
+}
+
+
+class TestBatchingInvariance:
+    @pytest.mark.parametrize("replications", [1, 5, 40])
+    @pytest.mark.parametrize("name", list(BATCH_CELLS))
+    def test_replicate_matches_run_simulation(self, name, replications):
+        params = BATCH_CELLS[name]
+        expected = np.array([
+            metrics(run_simulation(RunConfig(params, base_seed=derive_seed(9, 3, rep))))
+            .reshape(params.num_items, len(METRIC_NAMES))
+            for rep in range(replications)
+        ])
+        for jobs in (1, 2):
+            got = replicate(params, replications, base_seed=9, cell_index=3, jobs=jobs)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected, equal_nan=True), jobs
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_sweep_matches_replicate(self, jobs):
+        spec = SweepSpec(
+            grid=(("num_voters", (3, 7, 100)), ("clamp_value", (True, False))),
+            replications=40, base_seed=6,
+            base_params=SimParams(num_items=30, initial_stake=40.0),
+        )
+        agg = run_sweep(spec, jobs=jobs)
+        for c, overrides in enumerate(spec.cells()):
+            samples = replicate(replace(spec.base_params, **overrides), 40, 6, cell_index=c)
+            stats, counts = aggregate_metrics(samples)
+            assert np.array_equal(agg.cells[c].counts, counts)
+            for name in stats:
+                assert np.array_equal(agg.cells[c].stats[name], stats[name], equal_nan=True)
+
 
 class TestSweep:
     def spec(self, replications=3):
@@ -208,6 +319,25 @@ class TestAggregateMetrics:
         stats, counts = aggregate_metrics(np.full((2, 1, 1), np.nan))
         assert counts[0, 0] == 0
         assert np.isnan(stats["mean"][0, 0])
+
+    @pytest.mark.parametrize("replications", [1, 2, 7, 40, 333])
+    def test_percentiles_equal_nanpercentile(self, replications):
+        rng = np.random.Generator(np.random.PCG64(replications))
+        samples = rng.standard_normal((replications, 9, 11)) * 10.0 ** rng.integers(-3, 9, 11)
+        # a different share of NaNs per column, and columns with none or only NaNs
+        samples[rng.random(samples.shape) < rng.random((9, 11))] = np.nan
+        samples[:, 0, 0] = np.nan
+        samples[:, 1, 1] = 4.25
+        stats, counts = aggregate_metrics(samples)
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for q in (5, 95):
+                expected = np.nanpercentile(samples, q, axis=0)
+                got = stats[f"p{q}"]
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected, equal_nan=True)
+                assert got.tobytes() == expected.tobytes()
+        assert counts[0, 0] == 0 and counts[1, 1] == replications
 
 
 class TestValidateAgainstAnalysis:

@@ -36,6 +36,12 @@ def test_defaults_are_valid():
         {"initial_stake": float("nan")},
         {"p_engaged": float("nan")},
         {"num_voters": float("nan")},
+        {"num_voters": 10.5},
+        {"num_items": True},
+        {"p_engaged": True},
+        {"initial_tokens": "100"},
+        {"initial_tokens": 10**400},
+        {"clamp_value": 1},
     ],
 )
 def test_invalid_params_rejected(kwargs):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcrlab.harness import RunConfig, run_simulation
-from tcrlab.metrics import METRIC_NAMES, snapshot
+from tcrlab.metrics import METRIC_NAMES
 from tcrlab.params import SimParams
 from tcrlab.protocol import init_registry, settle, tally
 from tcrlab.voters import RngStream, VoterClass, sample_roster
@@ -18,11 +18,19 @@ def settlement_cases(draw):
     n = draw(st.integers(min_value=1, max_value=40))
     stake = draw(st.floats(min_value=0.01, max_value=50.0))
     sides = draw(st.lists(st.booleans(), min_size=0, max_size=n))
-    voted = np.zeros(n, dtype=bool)
-    voted[: len(sides)] = True
-    add = np.zeros(n, dtype=bool)
-    add[: len(sides)] = sides
-    return n, stake, add, voted & ~add
+    voted = np.zeros((1, n), dtype=bool)
+    voted[0, : len(sides)] = True
+    add = np.zeros((1, n), dtype=bool)
+    add[0, : len(sides)] = sides
+    return n, np.array([stake]), add, voted & ~add
+
+
+def settle_by_tally(state, stake, add, rej):
+    n_add, n_rej = add.sum(axis=1), rej.sum(axis=1)
+    if tally(n_add, n_rej)[0]:
+        settle(state, stake, add, rej, n_add, n_rej)
+    else:
+        settle(state, stake, rej, add, n_rej, n_add)
 
 
 @given(settlement_cases())
@@ -30,11 +38,11 @@ def test_settlement_is_zero_sum(case):
     n, stake, add, rej = case
     state = init_registry(
         SimParams(num_voters=n, initial_tokens=100.0, initial_stake=50.0),
-        [(True, True)] * n,
+        [[(True, True)] * n],
     )
     before = state.total_tokens
-    settle(state, stake, add, rej, tally(add.sum(), rej.sum()))
-    assert abs(state.total_tokens - before) <= 1e-9 * max(before, 1.0)
+    settle_by_tally(state, stake, add, rej)
+    assert np.all(abs(state.total_tokens - before) <= 1e-9 * np.maximum(before, 1.0))
 
 
 @given(settlement_cases())
@@ -42,10 +50,10 @@ def test_tie_and_unanimous_rounds_are_wealth_neutral(case):
     n, stake, add, rej = case
     state = init_registry(
         SimParams(num_voters=n, initial_tokens=100.0, initial_stake=50.0),
-        [(True, True)] * n,
+        [[(True, True)] * n],
     )
     if add.sum() == rej.sum() or not add.any() or not rej.any():
-        settle(state, stake, add, rej, tally(add.sum(), rej.sum()))
+        settle_by_tally(state, stake, add, rej)
         assert np.allclose(state.balances, 100.0, rtol=1e-9)
 
 
@@ -112,10 +120,11 @@ def test_runs_are_deterministic(config):
 def test_roster_classes_partition_voters(n, p_e, p_i, seed):
     params = SimParams(num_voters=n, p_engaged=p_e, p_informed=p_i)
     roster = sample_roster(params, RngStream(seed))
-    state = init_registry(params, roster)
-    row = dict(zip(METRIC_NAMES, snapshot(state).tolist()))
-    assert sum(state.class_sizes.values()) == n
-    assert sum(row[f"tokens_{cls.value}"] for cls in VoterClass) == state.total_tokens
-    for cls in VoterClass:
-        assert int(state.class_masks[cls].sum()) == state.class_sizes[cls]
-        assert sum(VoterClass.from_flags(e, i) is cls for e, i in roster) == state.class_sizes[cls]
+    state = init_registry(params, [roster])
+    tokens = state.class_tokens()[0]
+    assert state.class_sizes.sum() == n
+    assert tokens.sum() == state.total_tokens[0]
+    for c, cls in enumerate(VoterClass):
+        in_class = [VoterClass.from_flags(e, i) is cls for e, i in roster]
+        assert sum(in_class) == state.class_sizes[0, c]
+        assert tokens[c] == state.balances[0][in_class].sum()

@@ -10,8 +10,8 @@ from tcrlab.voters import RngStream, VoterClass, sample_roster
 
 def one_round(roster, seed=0, **kwargs):
     """Run one round over a fixed roster; every intending voter can cover the stake."""
-    state = init_registry(SimParams(num_voters=len(roster), **kwargs), roster)
-    return run_round(state, RngStream(seed))
+    state = init_registry(SimParams(num_voters=len(roster), **kwargs), [roster])
+    return run_round(state, [RngStream(seed)]).record()
 
 
 class TestRngStream:
@@ -49,12 +49,12 @@ class TestSampleRoster:
     def test_degenerate_all_informed_engaged(self):
         params = SimParams(num_voters=10, p_engaged=1.0, p_informed=1.0)
         roster = sample_roster(params, RngStream(0))
-        assert roster == [(True, True)] * 10
+        assert roster.tolist() == [[True, True]] * 10
 
     def test_degenerate_all_uninformed_disengaged(self):
         params = SimParams(num_voters=5, p_engaged=0.0, p_informed=0.0)
         roster = sample_roster(params, RngStream(0))
-        assert roster == [(False, False)] * 5
+        assert roster.tolist() == [[False, False]] * 5
 
     def test_binomial_marginals_within_three_sigma(self):
         # N=10000, p=0.5 per marginal: each class expects 2500,
@@ -70,7 +70,16 @@ class TestSampleRoster:
 
     def test_deterministic_given_seed(self):
         params = SimParams(num_voters=200)
-        assert sample_roster(params, RngStream(5)) == sample_roster(params, RngStream(5))
+        assert np.array_equal(sample_roster(params, RngStream(5)),
+                              sample_roster(params, RngStream(5)))
+
+    def test_engagement_block_then_informedness_block(self):
+        params = SimParams(num_voters=50)
+        stream = RngStream(8).uniform(100)
+        roster = sample_roster(params, RngStream(8))
+        assert roster.shape == (50, 2)
+        assert np.array_equal(roster[:, 0], stream[:50] < params.p_engaged)
+        assert np.array_equal(roster[:, 1], stream[50:] < params.p_informed)
 
 
 class TestDecideParticipation:
