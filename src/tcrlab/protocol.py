@@ -160,7 +160,10 @@ class TcrState:
                           ~is_informed & is_engaged, ~is_informed & ~is_engaged], axis=1)
         self._class_masks = masks
         self.class_sizes = masks.sum(axis=2)
-        self.p_vote = np.where(is_engaged, params.p_vote_engaged, params.p_vote_disengaged)
+        # The first draw of a round decides the item, the next N who intends to vote.
+        self.draw_cutoffs = np.concatenate(
+            (np.full((len(balances), 1), params.p_item_good),
+             np.where(is_engaged, params.p_vote_engaged, params.p_vote_disengaged)), axis=1)
         self.p_correct = np.where(is_informed, params.p_correct_informed,
                                   params.p_correct_uninformed)
 
@@ -301,14 +304,14 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     draws = np.empty((rows, n + 1))
     for r, rng in enumerate(rngs):
         draws[r] = rng.uniform(n + 1)
-    item_good = draws[:, 0] < p.p_item_good
-    intends = draws[:, 1:] < state.p_vote
+    below = draws < state.draw_cutoffs
+    item_good, intends = below[:, 0], below[:, 1:]
     eligible = intends & (bal >= (stake * (1.0 - REL_TOL))[:, None])
     n_eligible = eligible.sum(axis=1)
     ids = eligible.reshape(-1).nonzero()[0]
     votes = np.concatenate([rng.uniform(k) for rng, k in zip(rngs, n_eligible.tolist())])
     add = np.zeros((rows, n), dtype=bool)
-    add.reshape(-1)[ids] = ((votes < state.p_correct.reshape(-1)[ids])
+    add.reshape(-1)[ids] = ((votes < state.p_correct.ravel()[ids])
                             == np.repeat(item_good, n_eligible))
     n_add = add.sum(axis=1)
     n_reject = n_eligible - n_add
@@ -326,7 +329,7 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     # and non-negative balances give expected >= pre_settle_total - drift;
     # the checks run only when it fails.
     if not ((np.hypot(post_settle_total - pre_settle_total, total - expected)
-             <= 0.5 * REL_TOL * np.maximum(pre_settle_total, 1.0)).all()
+             / np.maximum(pre_settle_total, 1.0)).max() <= 0.5 * REL_TOL
             and bal.min() >= 0.0):
         _check_round(state, rngs, stake, pre_settle_total, post_settle_total, total, expected)
 

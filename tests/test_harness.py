@@ -18,7 +18,7 @@ from tcrlab.harness import (
     run_sweep,
     validate_against_analysis,
 )
-from tcrlab.params import AnalysisSigmaStake, ConfigurationError, SimParams
+from tcrlab.params import AnalysisSigmaStake, ConfigurationError, ProtocolStake, SimParams
 from tcrlab.protocol import InvariantViolation
 
 IDX = {name: i for i, name in enumerate(METRIC_NAMES)}
@@ -232,12 +232,13 @@ class TestBatchingInvariance:
             assert np.array_equal(got, expected, equal_nan=True), jobs
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_run_sweep_matches_replicate(self, jobs):
-        spec = SweepSpec(
-            grid=(("num_voters", (3, 7, 100)), ("clamp_value", (True, False))),
-            replications=40, base_seed=6,
-            base_params=SimParams(num_items=30, initial_stake=40.0),
-        )
+    @pytest.mark.parametrize("grid", [
+        (("num_voters", (3, 7, 100)), ("clamp_value", (True, False))),
+        (("stake_policy", (ProtocolStake(), AnalysisSigmaStake(0.1))), ("num_items", (0, 30))),
+    ], ids=["voters-clamp", "stake-rounds"])
+    def test_run_sweep_matches_replicate(self, grid, jobs):
+        spec = SweepSpec(grid=grid, replications=40, base_seed=6,
+                         base_params=SimParams(num_items=30, initial_stake=40.0))
         agg = run_sweep(spec, jobs=jobs)
         for c, overrides in enumerate(spec.cells()):
             samples = replicate(replace(spec.base_params, **overrides), 40, 6, cell_index=c)
