@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
 
 from .analysis import AnalysisParams
-from .harness import run_sweep, run_simulation, validate_against_analysis
-from .params import ConfigurationError
+from .harness import RunConfig, run_sweep, run_simulation, validate_against_analysis
+from .params import ConfigurationError, SimParams
 from .serialize import (
     TRACE_COLUMNS,
     run_config_from_file,
@@ -42,6 +43,7 @@ CLASS_LABELS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcrlab",
@@ -53,11 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("config", nargs="?", help="JSON config (defaults if omitted)")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default=".", help="output directory")
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="run a replicated parameter sweep")
     p_sweep.add_argument("spec", help="JSON sweep spec")
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", default=".")
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check the engine against the closed forms")
     p_val.add_argument("--sigma", type=float, default=0.05)
@@ -70,11 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--k", type=int, default=50)
     p_val.add_argument("--t0", type=float, default=100.0)
     p_val.add_argument("--out", default=".")
+    p_val.set_defaults(run=_cmd_validate)
 
     p_plot = sub.add_parser("plot", help="render an SVG chart from a trace or aggregate")
     p_plot.add_argument("input", help="trace.csv or aggregate.csv")
     p_plot.add_argument("--metric", required=True, choices=sorted(PLOT_FAMILIES))
     p_plot.add_argument("--out", required=True, help="output SVG path")
+    p_plot.set_defaults(run=_cmd_plot)
 
     return parser
 
@@ -82,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -91,23 +97,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    return _cmd_plot(args)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.config is not None:
         config = run_config_from_file(args.config, seed=args.seed)
     else:
-        from .harness import RunConfig
-        from .params import SimParams
-
         config = RunConfig(sim_params=SimParams(), base_seed=args.seed)
     trace = run_simulation(config)
     out = _out_dir(args.out)
@@ -145,60 +138,55 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     metrics = PLOT_FAMILIES[args.metric]
-    rows = _read_csv(Path(args.input))
-    if not rows:
-        raise ConfigurationError(f"{args.input}: empty input")
-    if "metric" in rows[0]:
-        series = _aggregate_series(rows, metrics, args.input)
-    else:
-        series = _trace_series(rows, metrics, args.input)
     titles = {"tokens": "Tokens per class", "wealth": "Wealth per class",
               "value": "Registry value"}
     y_labels = {"tokens": "tokens", "wealth": "wealth per voter", "value": "value"}
-    svg = render_line_chart(
-        series, title=titles[args.metric], x_label="round", y_label=y_labels[args.metric]
-    )
+    try:
+        rows = _read_csv(args.input)
+        if not rows:
+            raise ValueError("empty input")
+        series = (_aggregate_series if "metric" in rows[0] else _trace_series)(rows, metrics)
+        svg = render_line_chart(
+            series, title=titles[args.metric], x_label="round", y_label=y_labels[args.metric]
+        )
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigurationError(f"{args.input}: {exc}") from exc
     with open(args.out, "w", newline="") as fh:
         fh.write(svg)
     return 0
 
 
-def _trace_series(rows, metrics, source):
+def _trace_series(rows, metrics):
     missing = [c for c in TRACE_COLUMNS if c not in rows[0]]
     if missing:
-        raise ConfigurationError(f"{source}: missing trace columns {missing}")
+        raise ValueError(f"missing trace columns {missing}")
     series = []
     for metric in metrics:
-        pts = [
-            (float(row["round"]), _parse_num(row[metric]))
-            for row in rows
-        ]
+        pts = [(_finite(row["round"]), _parse_num(row[metric])) for row in rows]
         series.append((_series_label(metric), pts))
     return series
 
 
-def _aggregate_series(rows, metrics, source):
+def _aggregate_series(rows, metrics):
     required = {"round", "metric", "mean"}
     if not required <= set(rows[0]):
-        raise ConfigurationError(f"{source}: missing aggregate columns")
+        raise ValueError("missing aggregate columns")
     param_cols = [
         c for c in rows[0]
         if c not in {"round", "metric", "mean", "std", "min", "max", "p5", "p95", "count"}
     ]
     cells = {tuple(row[c] for c in param_cols) for row in rows}
     if len(cells) != 1:
-        raise ConfigurationError(
-            f"{source}: aggregate has {len(cells)} grid cells; plot expects exactly one"
-        )
+        raise ValueError(f"aggregate has {len(cells)} grid cells; plot expects exactly one")
     series = []
     for metric in metrics:
         pts = [
-            (float(row["round"]), _parse_num(row["mean"]))
+            (_finite(row["round"]), _parse_num(row["mean"]))
             for row in rows
             if row["metric"] == metric
         ]
         if not pts:
-            raise ConfigurationError(f"{source}: metric {metric!r} not present")
+            raise ValueError(f"metric {metric!r} not present")
         pts.sort(key=lambda p: p[0])
         series.append((_series_label(metric), pts))
     return series
@@ -212,12 +200,23 @@ def _series_label(metric: str) -> str:
 
 
 def _parse_num(text: str) -> float:
-    return math.nan if text == "" else float(text)
+    """An empty cell is NaN (an empty class); any other must be a finite number."""
+    return math.nan if text == "" else _finite(text)
 
 
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _read_csv(path: str) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    if any(None in row or None in row.values() for row in rows):
+        raise ValueError("a row and the header have different lengths")
+    return rows
 
 
 def _out_dir(path: str) -> Path:

@@ -8,7 +8,6 @@ them or in which order.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import os
 import warnings
@@ -32,38 +31,15 @@ from .protocol import InvariantViolation, RoundRecord, TcrState, init_registry, 
 from .voters import RngStream, sample_roster
 
 
-class BehaviorMode(enum.Enum):
-    STOCHASTIC = "stochastic"
-    DEGENERATE_IDEAL = "degenerate_ideal"
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """One simulation run: parameters, seed, and behavior mode.
-
-    DEGENERATE_IDEAL forces sure participation for engaged voters, none for
-    disengaged, and sure (in)correctness for (un)informed voters; it also
-    requires a roster where informed-engaged voters outnumber
-    uninformed-engaged ones.
-    """
+    """One simulation run: parameters and seed."""
 
     sim_params: SimParams
     base_seed: int = 0
-    behavior_mode: BehaviorMode = BehaviorMode.STOCHASTIC
 
     def __post_init__(self) -> None:
         check_seed(self.base_seed)
-
-    def effective_params(self) -> SimParams:
-        if self.behavior_mode is BehaviorMode.DEGENERATE_IDEAL:
-            return replace(
-                self.sim_params,
-                p_vote_engaged=1.0,
-                p_vote_disengaged=0.0,
-                p_correct_informed=1.0,
-                p_correct_uninformed=0.0,
-            )
-        return self.sim_params
 
 
 def run_simulation(
@@ -76,18 +52,11 @@ def run_simulation(
     is_informed) pairs, may be supplied (no roster draws are consumed then);
     otherwise the roster is sampled from the stream first.
     """
-    params = config.effective_params()
+    params = config.sim_params
     rng = RngStream(config.base_seed)
     if roster is None:
         roster = sample_roster(params, rng)
     state = init_registry(params, [roster])
-    if config.behavior_mode is BehaviorMode.DEGENERATE_IDEAL:
-        n_ie, _, n_ue, _ = state.class_sizes[0].tolist()
-        if n_ie <= n_ue:
-            raise ConfigurationError(
-                "degenerate-ideal mode requires more informed-engaged than "
-                f"uninformed-engaged voters, got {n_ie} vs {n_ue}"
-            )
     records = []
     rows = _advance(state, [rng], lambda rnd: records.append(rnd.record()))
     return list(zip(records, rows[0]))
@@ -256,7 +225,6 @@ class CellAggregate:
 
 @dataclass(frozen=True)
 class AggregateStats:
-    metric_names: tuple[str, ...]
     replications: int
     cells: tuple[CellAggregate, ...]
 
@@ -309,12 +277,13 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> AggregateStats:
     runs = _replicate_cells(cells, spec.replications, spec.base_seed, jobs)
     for samples, params in zip(runs, overrides):
         stats, counts = aggregate_metrics(samples)
+        # Finite samples can still overflow a mean's sum or a std's squares.
+        if any(np.isinf(stat).any() for stat in stats.values()):
+            raise ConfigurationError(
+                f"sweep cell {params}: statistics across replications overflow the float range"
+            )
         aggregates.append(CellAggregate(params=params, stats=stats, counts=counts))
-    return AggregateStats(
-        metric_names=METRIC_NAMES,
-        replications=spec.replications,
-        cells=tuple(aggregates),
-    )
+    return AggregateStats(replications=spec.replications, cells=tuple(aggregates))
 
 
 @dataclass(frozen=True)
@@ -327,17 +296,11 @@ class ValidationReport:
     passed: bool
 
 
-_ORACLE_SERIES = {
-    "t_ie": tokens_informed_engaged,
-    "t_ue": tokens_uninformed_engaged,
-    "t_id": tokens_disengaged,
-    "t_ud": tokens_disengaged,
-}
+# Largest relative error of any closed-form series for which validation passes.
+TOLERANCE = 1e-9
 
 
-def validate_against_analysis(
-    a: AnalysisParams, k_max: int, tolerance: float = 1e-9
-) -> ValidationReport:
+def validate_against_analysis(a: AnalysisParams, k_max: int) -> ValidationReport:
     """Run the idealized simulator configuration and diff the closed forms.
 
     Per-class mean balances, the total, and value-per-token are compared at
@@ -352,13 +315,18 @@ def validate_against_analysis(
             f"the closed form overflows the float range by round {k_max}: "
             f"(1 + delta)^k with delta {a.delta}"
         ) from exc
-    n = a.n_ie + a.n_ue + a.n_id + a.n_ud
+    # The idealized setting: engaged voters always vote and disengaged ones
+    # never; informed voters are always correct and uninformed ones never.
     params = SimParams(
-        num_voters=n,
+        num_voters=a.n_ie + a.n_ue + a.n_id + a.n_ud,
         num_items=k_max,
         initial_tokens=a.t0,
         initial_stake=min(a.sigma * a.t0, a.t0),
         inflation_rate=a.delta,
+        p_vote_engaged=1.0,
+        p_vote_disengaged=0.0,
+        p_correct_informed=1.0,
+        p_correct_uninformed=0.0,
         stake_policy=AnalysisSigmaStake(a.sigma),
     )
     # (is_engaged, is_informed), grouped by class: IE, UE, ID, UD.
@@ -368,44 +336,35 @@ def validate_against_analysis(
         + [(False, True)] * a.n_id
         + [(False, False)] * a.n_ud
     )
-    config = RunConfig(
-        sim_params=params, base_seed=0, behavior_mode=BehaviorMode.DEGENERATE_IDEAL
+    rows = _advance(init_registry(params, [roster]), [RngStream(0)])[0]
+    column = dict(zip(METRIC_NAMES, rows.T))
+    rounds = range(1, k_max + 1)
+    wrong = np.flatnonzero(column["lurp_raw"] != rounds)
+    if wrong.size:
+        raise ConfigurationError(
+            f"idealized run produced an incorrect decision at round {wrong[0] + 1}"
+        )
+    # (series, closed form, simulated tokens, class size): balances compare per voter.
+    oracle = (
+        ("t_ie", tokens_informed_engaged, column["tokens_IE"], a.n_ie),
+        ("t_ue", tokens_uninformed_engaged, column["tokens_UE"], a.n_ue),
+        ("t_id", tokens_disengaged, column["tokens_ID"], a.n_id),
+        ("t_ud", tokens_disengaged, column["tokens_UD"], a.n_ud),
+        ("t_total", total_tokens, column["t_total"], 1),
+        ("value_per_token", value_per_token, column["lurp_raw"] / column["t_total"], 1),
     )
-    trace = run_simulation(config, roster=roster)
-
-    class_info = {
-        "t_ie": ("tokens_IE", a.n_ie),
-        "t_ue": ("tokens_UE", a.n_ue),
-        "t_id": ("tokens_ID", a.n_id),
-        "t_ud": ("tokens_UD", a.n_ud),
-    }
-    errors = {name: 0.0 for name in (*_ORACLE_SERIES, "t_total", "value_per_token")}
-    for record, row in trace:
-        k = record.round_index + 1
-        if not record.decision_correct:
-            raise ConfigurationError(
-                f"idealized run produced an incorrect decision at round {k}"
-            )
-        metrics = dict(zip(METRIC_NAMES, row.tolist()))
-        for name, fn in _ORACLE_SERIES.items():
-            column, n_cls = class_info[name]
-            if n_cls == 0:
-                continue
-            sim = metrics[column] / n_cls
-            errors[name] = max(errors[name], _rel_err(sim, fn(a, k)))
-        t_total = metrics["t_total"]
-        errors["t_total"] = max(errors["t_total"], _rel_err(t_total, total_tokens(a, k)))
-        errors["value_per_token"] = max(
-            errors["value_per_token"],
-            _rel_err(metrics["lurp_raw"] / t_total, value_per_token(a, k)),
+    errors = {}
+    for name, closed_form, sim, size in oracle:
+        if size == 0:  # an empty class has no balance to compare
+            errors[name] = 0.0
+            continue
+        exp = np.array([closed_form(a, k) for k in rounds], dtype=float)
+        errors[name] = float(
+            (np.abs(sim / size - exp) / np.maximum(np.abs(exp), 1e-300)).max(initial=0.0)
         )
     return ValidationReport(
         k_max=k_max,
-        tolerance=tolerance,
+        tolerance=TOLERANCE,
         max_rel_error=errors,
-        passed=all(e <= tolerance for e in errors.values()),
+        passed=all(e <= TOLERANCE for e in errors.values()),
     )
-
-
-def _rel_err(actual: float, expected: float) -> float:
-    return abs(actual - expected) / max(abs(expected), 1e-300)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields
@@ -117,6 +118,17 @@ class SimParams:
         if self.inflation_rate < 0:
             raise ConfigurationError(
                 f"inflation_rate must be >= 0, got {self.inflation_rate}"
+            )
+        try:  # the initial supply, and value per token at most num_items / supply
+            supply = self.initial_tokens * self.num_voters
+            finite = math.isfinite(supply) and math.isfinite(self.num_items / supply)
+        except OverflowError:  # a count too large for a float
+            finite = False
+        if not finite:
+            raise ConfigurationError(
+                "the initial supply initial_tokens x num_voters, and num_items divided by "
+                f"it, must be finite: initial_tokens {self.initial_tokens}, "
+                f"num_voters {self.num_voters}, num_items {self.num_items}"
             )
         for name in _PROBABILITY_FIELDS:
             p = getattr(self, name)

@@ -168,10 +168,6 @@ class TcrState:
                                   params.p_correct_uninformed)
 
     @property
-    def num_voters(self) -> int:
-        return self.balances.shape[1]
-
-    @property
     def v_incorrect(self) -> np.ndarray:
         return self.round_index - self.v_correct
 

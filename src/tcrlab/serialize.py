@@ -14,14 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (
-    AggregateStats,
-    BehaviorMode,
-    RunConfig,
-    STAT_NAMES,
-    SweepSpec,
-    ValidationReport,
-)
+from .harness import AggregateStats, RunConfig, STAT_NAMES, SweepSpec, ValidationReport
 from .metrics import CLASS_ORDER, METRIC_NAMES
 from .params import AnalysisSigmaStake, ConfigurationError, ProtocolStake, SimParams
 from .protocol import RoundRecord, init_registry
@@ -100,16 +93,7 @@ def params_from_dict(doc: dict, defaults: SimParams | None = None) -> SimParams:
 
 
 def run_config_from_file(path: str | Path, seed: int) -> RunConfig:
-    doc = _load_json(path)
-    mode = BehaviorMode.STOCHASTIC
-    if isinstance(doc, dict) and "behavior_mode" in doc:
-        try:
-            mode = BehaviorMode(doc.pop("behavior_mode"))
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
-    return RunConfig(
-        sim_params=params_from_dict(doc), base_seed=seed, behavior_mode=mode
-    )
+    return RunConfig(sim_params=params_from_dict(_load_json(path)), base_seed=seed)
 
 
 def sweep_spec_from_file(path: str | Path) -> SweepSpec:
@@ -135,10 +119,9 @@ def sweep_spec_from_file(path: str | Path) -> SweepSpec:
 
 
 def _load_json(path: str | Path):
-    text = Path(path).read_text()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -172,14 +155,13 @@ def write_summary_json(
 ) -> None:
     doc = {
         "seed": config.base_seed,
-        "behavior_mode": config.behavior_mode.value,
         "params": params_to_dict(config.sim_params),
         "rounds": len(trace),
     }
     if trace:
         # The roster is the first draw on the run's stream (see voters.py),
         # so replaying it gives the class sizes of the run.
-        params = config.effective_params()
+        params = config.sim_params
         state = init_registry(params, [sample_roster(params, RngStream(config.base_seed))])
         final = dict(zip(METRIC_NAMES, trace[-1][1].tolist()))
         doc["class_counts"] = {
@@ -209,7 +191,7 @@ def write_aggregate_csv(path: Path, agg: AggregateStats) -> None:
             cell_cols = [_param_str(cell.params.get(name)) for name in param_names]
             stats = [cell.stats[s].tolist() for s in STAT_NAMES]
             for r, counts in enumerate(cell.counts.tolist()):
-                for m, metric in enumerate(agg.metric_names):
+                for m, metric in enumerate(METRIC_NAMES):
                     writer.writerow(
                         cell_cols
                         + [str(r), metric]
@@ -225,7 +207,7 @@ def write_aggregate_json(path: Path, agg: AggregateStats) -> None:
         rounds = []
         for r, counts in enumerate(cell.counts.tolist()):
             per_metric = {}
-            for m, metric in enumerate(agg.metric_names):
+            for m, metric in enumerate(METRIC_NAMES):
                 per_metric[metric] = {
                     **{s: _json_num(stats[s][r][m]) for s in STAT_NAMES},
                     "count": counts[m],
@@ -235,7 +217,7 @@ def write_aggregate_json(path: Path, agg: AggregateStats) -> None:
     _dump_json(
         path,
         {
-            "metric_names": list(agg.metric_names),
+            "metric_names": list(METRIC_NAMES),
             "replications": agg.replications,
             "cells": cells,
         },

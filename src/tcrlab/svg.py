@@ -25,7 +25,10 @@ def render_line_chart(
     x_label: str,
     y_label: str,
 ) -> str:
-    """Render labeled series as one SVG line chart; NaN points are skipped."""
+    """Render labeled series as one SVG line chart; NaN points are skipped.
+
+    Raises ValueError when the values of an axis span more than the float range.
+    """
     cleaned = [
         (label, [(x, y) for x, y in pts if not math.isnan(y)])
         for label, pts in series
@@ -114,6 +117,8 @@ def _bounds(values: list[float]) -> tuple[float, float]:
     if not values:
         return 0.0, 1.0
     lo, hi = min(values), max(values)
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"values from {lo} to {hi} span more than the float range")
     if lo == hi:
         pad = abs(lo) * 0.1 or 1.0
         return lo - pad, hi + pad

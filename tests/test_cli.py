@@ -49,16 +49,17 @@ class TestSimulate:
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
     def test_summary_params_round_trip(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "cfg.json", {"p_informed": 0.9, "num_items": 20}
-        )
-        out1 = tmp_path / "a"
-        main(["simulate", cfg, "--seed", "5", "--out", str(out1)])
-        summary = json.loads((out1 / "summary.json").read_text())
-        cfg2 = write_json(tmp_path / "echo.json", summary["params"])
-        out2 = tmp_path / "b"
-        main(["simulate", cfg2, "--seed", "5", "--out", str(out2)])
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+        idealized = {"p_vote_engaged": 1.0, "p_vote_disengaged": 0.0,
+                     "p_correct_informed": 1.0, "p_correct_uninformed": 0.0}
+        for i, doc in enumerate([{"p_informed": 0.9, "num_items": 20}, idealized]):
+            cfg = write_json(tmp_path / f"cfg{i}.json", doc)
+            out1 = tmp_path / f"a{i}"
+            main(["simulate", cfg, "--seed", "5", "--out", str(out1)])
+            summary = json.loads((out1 / "summary.json").read_text())
+            cfg2 = write_json(tmp_path / f"echo{i}.json", summary["params"])
+            out2 = tmp_path / f"b{i}"
+            main(["simulate", cfg2, "--seed", "5", "--out", str(out2)])
+            assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"informedness": 0.9})
@@ -72,12 +73,20 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 3
 
     def test_tie_rule_is_not_a_config_key(self, tmp_path, capsys):
-        assert main(["simulate", "--out", str(tmp_path)]) == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert "tie_rule" not in summary["params"]
-        cfg = write_json(tmp_path / "cfg.json", {"tie_rule": "reject_and_refund"})
-        assert main(["simulate", cfg, "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: unknown config keys: ['tie_rule']\n"
+        check_not_a_config_key(tmp_path, capsys, "tie_rule", "reject_and_refund")
+
+    def test_behavior_mode_is_not_a_config_key(self, tmp_path, capsys):
+        check_not_a_config_key(tmp_path, capsys, "behavior_mode", "degenerate_ideal")
+
+
+def check_not_a_config_key(tmp_path, capsys, key, value):
+    """Outputs do not carry the key, and a config that sets it exits 2 naming it."""
+    assert main(["simulate", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert key not in summary and key not in summary["params"]
+    cfg = write_json(tmp_path / "cfg.json", {key: value})
+    assert main(["simulate", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
 
 
 @pytest.mark.parametrize(
@@ -108,6 +117,29 @@ def test_non_finite_input_exits_2_with_one_line(tmp_path, config, argv):
          ["sweep", "{config}"], "seed must be an integer in [0, 2**64)"),
         (None, ["validate", "--t0", "1e-5", "--k", "1760", "--delta", "0.5"],
          "the closed form overflows the float range"),
+        ('{"initial_tokens": 1e307, "initial_stake": 1}', ["simulate", "{config}"],
+         "the initial supply"),
+        ('{"grid": {"initial_tokens": [1e307]}, "replications": 1,'
+         ' "sim_params": {"initial_stake": 1}}', ["sweep", "{config}"], "the initial supply"),
+        ('{"grid": {"initial_tokens": [1e307]}, "replications": 2, "base_seed": 1,'
+         ' "sim_params": {"num_voters": 1, "num_items": 1}}', ["sweep", "{config}"],
+         "statistics across replications overflow the float range"),
+        (None, ["validate", "--t0", "1e308", "--k", "5", "--delta", "0.5"], "the initial supply"),
+        ('{"initial_tokens": 5e-324, "initial_stake": 0, "p_informed": 0.9}',
+         ["simulate", "{config}"], "the initial supply"),
+        (None, ["validate", "--t0", "5e-324"], "the initial supply"),
+        ('{"num_voters": 1%s}' % ("0" * 400), ["simulate", "{config}"], "the initial supply"),
+        (b"round\xff\n", ["plot", "{config}", "--metric", "tokens"], "codec can't decode"),
+        (",".join(TRACE_COLUMNS) + "\nx" + ",1" * (len(TRACE_COLUMNS) - 1) + "\n",
+         ["plot", "{config}", "--metric", "value"], "could not convert string to float: 'x'"),
+        (",".join(TRACE_COLUMNS) + "\n0" + ",1" * (len(TRACE_COLUMNS) - 2) + ",inf\n",
+         ["plot", "{config}", "--metric", "wealth"], "'inf' is not a finite number"),
+        (",".join(TRACE_COLUMNS) + "\n0" + ",1" * 8 + ",1e308" + ",1" * 10
+         + "\n1" + ",1" * 8 + ",-1e308" + ",1" * 10 + "\n",
+         ["plot", "{config}", "--metric", "value"], "span more than the float range"),
+        # Python 3.10's csv rejects the NUL; later versions read it as a bad number.
+        (",".join(TRACE_COLUMNS) + "\n\0" + ",1" * (len(TRACE_COLUMNS) - 1) + "\n",
+         ["plot", "{config}", "--metric", "value"], "cfg.json: "),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, config, argv, message):
@@ -117,7 +149,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, config, argv, message):
 def run_bad_input(tmp_path, config, argv, message):
     """Run the CLI in a subprocess: exit 2, one stderr line naming the fault, no output."""
     cfg = tmp_path / "cfg.json"
-    if config is not None:
+    if isinstance(config, bytes):
+        cfg.write_bytes(config)
+    elif config is not None:
         cfg.write_text(config)
     argv = [str(cfg) if a == "{config}" else a for a in argv]
     env = {**os.environ, "PYTHONPATH": str(Path(tcrlab.__file__).parents[1])}

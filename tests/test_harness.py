@@ -7,7 +7,6 @@ import pytest
 from tcrlab import harness
 from tcrlab.analysis import AnalysisParams
 from tcrlab.harness import (
-    BehaviorMode,
     METRIC_NAMES,
     RunConfig,
     SweepSpec,
@@ -55,26 +54,6 @@ class TestRunSimulation:
         trace = run_simulation(RunConfig(SimParams(inflation_rate=0.0), base_seed=3))
         totals = metrics(trace)[:, IDX["t_total"]]
         assert max(totals) - min(totals) <= 1e-9 * 10000
-
-    def test_degenerate_mode_requires_informed_majority(self):
-        config = RunConfig(
-            SimParams(num_voters=4),
-            base_seed=0,
-            behavior_mode=BehaviorMode.DEGENERATE_IDEAL,
-        )
-        roster = [(True, False), (True, False), (True, True), (False, True)]
-        with pytest.raises(ConfigurationError):
-            run_simulation(config, roster=roster)
-
-    def test_degenerate_mode_forces_probabilities(self):
-        config = RunConfig(
-            SimParams(), base_seed=0, behavior_mode=BehaviorMode.DEGENERATE_IDEAL
-        )
-        eff = config.effective_params()
-        assert eff.p_vote_engaged == 1.0
-        assert eff.p_vote_disengaged == 0.0
-        assert eff.p_correct_informed == 1.0
-        assert eff.p_correct_uninformed == 0.0
 
 
 class TestDeriveSeed:
