@@ -15,6 +15,13 @@ from tcrlab.cli import main
 DATA = Path(__file__).parent / "data"
 
 # (fixture, config written to the run directory or None, CLI arguments, artifact)
+SWEEP_2CELL = {
+    "grid": {"p_informed": [0.1, 0.9], "inflation_rate": [0.05]},
+    "replications": 20,
+    "base_seed": 5,
+    "sim_params": {"num_items": 20, "num_voters": 30},
+}
+
 CASES = [
     ("trace_seed42.csv", None, ["simulate", "--seed", "42"], "trace.csv"),
     (
@@ -25,17 +32,8 @@ CASES = [
         ["simulate", "{config}", "--seed", "3"],
         "trace.csv",
     ),
-    (
-        "aggregate_2cell.csv",
-        {
-            "grid": {"p_informed": [0.1, 0.9], "inflation_rate": [0.05]},
-            "replications": 20,
-            "base_seed": 5,
-            "sim_params": {"num_items": 20, "num_voters": 30},
-        },
-        ["sweep", "{config}"],
-        "aggregate.csv",
-    ),
+    ("aggregate_2cell.csv", SWEEP_2CELL, ["sweep", "{config}"], "aggregate.csv"),
+    ("aggregate_2cell.json", SWEEP_2CELL, ["sweep", "{config}"], "aggregate.json"),
 ]
 
 
