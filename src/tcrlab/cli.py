@@ -43,9 +43,19 @@ CLASS_LABELS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors print one ``error: ...`` line.
+
+    ``add_subparsers`` builds the subcommands' parsers with this class too.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tcrlab",
         description="Token-curated registry simulator with participation inflation.",
     )

@@ -53,6 +53,7 @@ def run_simulation(
     otherwise the roster is sampled from the stream first.
     """
     params = config.sim_params
+    _check_voters(params)
     rng = RngStream(config.base_seed)
     if roster is None:
         roster = sample_roster(params, rng)
@@ -115,6 +116,17 @@ def derive_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
 # Voter slots (replications x voters) per lockstep block; larger cells are
 # split into more blocks, which bounds a block's memory.
 BLOCK_SLOTS = 2**18
+# Voters of one replication. A block never splits a replication, so this
+# bound keeps every block within BLOCK_SLOTS.
+MAX_VOTERS = BLOCK_SLOTS
+
+
+def _check_voters(params: SimParams) -> None:
+    """Reject a roster too large for one block, before anything is allocated."""
+    if params.num_voters > MAX_VOTERS:
+        raise ConfigurationError(
+            f"num_voters must be <= {MAX_VOTERS}, got {params.num_voters}"
+        )
 
 
 def _block_task(task: tuple[SimParams, int, int, int, int]) -> np.ndarray:
@@ -141,6 +153,7 @@ def _replicate_cells(
     workers = min(jobs, os.cpu_count() or 1, replications * len(cells))
     tasks = []
     for cell_index, params in cells:
+        _check_voters(params)
         per_block = max(1, min(-(-replications // max(workers, 1)),
                                BLOCK_SLOTS // params.num_voters))
         tasks += [
@@ -329,6 +342,7 @@ def validate_against_analysis(a: AnalysisParams, k_max: int) -> ValidationReport
         p_correct_uninformed=0.0,
         stake_policy=AnalysisSigmaStake(a.sigma),
     )
+    _check_voters(params)
     # (is_engaged, is_informed), grouped by class: IE, UE, ID, UD.
     roster = (
         [(True, True)] * a.n_ie

@@ -1,16 +1,24 @@
 """Config parsing and file output: JSON configs, CSV traces, aggregates.
 
 All numeric CSV fields use 12 significant digits and LF newlines so reruns
-diff clean byte-for-byte.
+diff clean byte-for-byte; fields are quoted as ``csv.writer`` quotes them.
+
+``aggregate.json`` is the text of ``json.dump(doc, indent=2, sort_keys=True)``
+plus a final newline: a 2-space indent, sorted keys, floats as
+``float.__repr__`` and NaN as ``null``. The trace and aggregate writers fill
+string templates instead of calling the encoder or ``csv.writer`` per value,
+and keep those bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,6 +40,17 @@ TRACE_COLUMNS = (
     "reject_votes",
     *METRIC_NAMES,
 )
+
+# aggregate.json lists a round's metrics, and the keys of each (round, metric)
+# block, in sorted order; _ROUND_JSON is one round, 8 spaces deep.
+_JSON_KEYS = sorted(("count", *STAT_NAMES))
+_BY_NAME = sorted(range(len(METRIC_NAMES)), key=METRIC_NAMES.__getitem__)
+_ROUND_JSON = " " * 8 + json.dumps(
+    {metric: dict.fromkeys(_JSON_KEYS, "%s") for metric in METRIC_NAMES}, indent=2, sort_keys=True
+).replace("\n", "\n" + " " * 8).replace('"%s"', "%s")
+_JSON_CONSTANTS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+# writerow returns what its file's write returns: here, the line it renders.
+_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 def fmt(value: float) -> str:
@@ -106,12 +125,14 @@ def sweep_spec_from_file(path: str | Path) -> SweepSpec:
     grid_doc = doc.get("grid")
     if not isinstance(grid_doc, dict) or not grid_doc:
         raise ConfigurationError("sweep spec needs a non-empty 'grid' object")
-    grid = tuple(
-        (name, tuple(values) if isinstance(values, list) else (values,))
-        for name, values in grid_doc.items()
-    )
+    grid = []
+    for name, values in grid_doc.items():
+        values = tuple(values) if isinstance(values, list) else (values,)
+        if name == "stake_policy":
+            values = tuple(stake_policy_from_dict(v) for v in values)
+        grid.append((name, values))
     return SweepSpec(
-        grid=grid,
+        grid=tuple(grid),
         replications=doc.get("replications", 500),
         base_seed=doc.get("base_seed", 0),
         base_params=params_from_dict(doc.get("sim_params", {})),
@@ -129,25 +150,11 @@ def _load_json(path: str | Path):
 
 def write_trace_csv(path: Path, trace: list[tuple[RoundRecord, np.ndarray]]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for record, row in trace:
-            writer.writerow(trace_csv_row(record, row))
-
-
-def trace_csv_row(record: RoundRecord, row: np.ndarray) -> list[str]:
-    return [
-        str(record.round_index),
-        _bool(record.item.is_good),
-        record.decision.value,
-        _bool(record.decision_correct),
-        fmt(record.stake),
-        str(record.n_participants),
-        str(record.n_forced),
-        str(record.n_add),
-        str(record.n_reject),
-        *(fmt(x) for x in row.tolist()),
-    ]
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for rec, row in trace:
+            fh.write(f"{rec.round_index},{_bool(rec.item.is_good)},{rec.decision.value},"
+                     f"{_bool(rec.decision_correct)},{fmt(rec.stake)},{rec.n_participants},"
+                     f"{rec.n_forced},{rec.n_add},{rec.n_reject},{','.join(_g12(row.tolist()))}\n")
 
 
 def write_summary_json(
@@ -183,45 +190,34 @@ def write_summary_json(
 
 def write_aggregate_csv(path: Path, agg: AggregateStats) -> None:
     param_names = sorted({name for cell in agg.cells for name in cell.params})
-    header = [*param_names, "round", "metric", *STAT_NAMES, "count"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(_csv_line([*param_names, "round", "metric", *STAT_NAMES, "count"]))
         for cell in agg.cells:
-            cell_cols = [_param_str(cell.params.get(name)) for name in param_names]
-            stats = [cell.stats[s].tolist() for s in STAT_NAMES]
-            for r, counts in enumerate(cell.counts.tolist()):
-                for m, metric in enumerate(METRIC_NAMES):
-                    writer.writerow(
-                        cell_cols
-                        + [str(r), metric]
-                        + [fmt(stat[r][m]) for stat in stats]
-                        + [str(counts[m])]
-                    )
+            # Two empty fields stop csv quoting a lone empty one; [:-2] leaves a comma.
+            prefix = _csv_line([_param_str(cell.params.get(name)) for name in param_names]
+                               + ["", ""])[:-2].replace("%", "%%")
+            row = "".join(f"{prefix}%s,{metric},%s,%s,%s,%s,%s,%s,%s\n" for metric in METRIC_NAMES)
+            columns = [[r for r in range(len(cell.counts)) for _ in METRIC_NAMES],
+                       *(_g12(cell.stats[s].ravel().tolist()) for s in STAT_NAMES),
+                       cell.counts.ravel().tolist()]
+            fh.write(row * len(cell.counts) % tuple(itertools.chain.from_iterable(zip(*columns))))
 
 
 def write_aggregate_json(path: Path, agg: AggregateStats) -> None:
-    cells = []
-    for cell in agg.cells:
-        stats = {s: cell.stats[s].tolist() for s in STAT_NAMES}
-        rounds = []
-        for r, counts in enumerate(cell.counts.tolist()):
-            per_metric = {}
-            for m, metric in enumerate(METRIC_NAMES):
-                per_metric[metric] = {
-                    **{s: _json_num(stats[s][r][m]) for s in STAT_NAMES},
-                    "count": counts[m],
-                }
-            rounds.append(per_metric)
-        cells.append({"params": _jsonable(cell.params), "rounds": rounds})
-    _dump_json(
-        path,
-        {
-            "metric_names": list(METRIC_NAMES),
-            "replications": agg.replications,
-            "cells": cells,
-        },
-    )
+    tail = json.dumps({"metric_names": list(METRIC_NAMES), "replications": agg.replications},
+                      indent=2, sort_keys=True)
+    with open(path, "w", newline="") as fh:
+        fh.write('{\n  "cells": [')
+        for c, cell in enumerate(agg.cells):
+            stats = {**cell.stats, "count": cell.counts}
+            columns = [_json_values(stats[key][:, _BY_NAME]) for key in _JSON_KEYS]
+            rounds = ",\n".join([_ROUND_JSON] * len(cell.counts))
+            rounds %= tuple(itertools.chain.from_iterable(zip(*columns)))
+            params = json.dumps(_jsonable(cell.params), indent=2, sort_keys=True)
+            fh.write('%s    {\n      "params": %s,\n      "rounds": %s\n    }' % (
+                ",\n" if c else "\n", params.replace("\n", "\n" + " " * 6),
+                f"[\n{rounds}\n      ]" if rounds else "[]"))
+        fh.write(("\n  ]," if agg.cells else "],") + tail[1:] + "\n")
 
 
 def write_validation_json(path: Path, report: ValidationReport) -> None:
@@ -238,6 +234,19 @@ def write_validation_json(path: Path, report: ValidationReport) -> None:
 
 # --- helpers ----------------------------------------------------------------
 
+def _g12(values: list) -> list[str]:
+    """``fmt`` of each float of a list."""
+    return ["" if x != x else "%.12g" % x for x in values]
+
+
+def _json_values(a: np.ndarray) -> list:
+    """An array's values for ``%s`` slots: ``str`` of a float is json's ``repr``."""
+    values = a.ravel().tolist()
+    for i in np.flatnonzero(~np.isfinite(a)):
+        values[i] = _JSON_CONSTANTS[repr(values[i])]
+    return values
+
+
 def _bool(b: bool) -> str:
     return "true" if b else "false"
 
@@ -249,6 +258,8 @@ def _param_str(value) -> str:
         return _bool(value)
     if isinstance(value, float):
         return fmt(value)
+    if isinstance(value, (ProtocolStake, AnalysisSigmaStake)):
+        return json.dumps(stake_policy_to_dict(value), sort_keys=True, separators=(",", ":"))
     return str(value)
 
 
@@ -261,6 +272,8 @@ def _jsonable(doc: dict) -> dict:
     for key, value in doc.items():
         if isinstance(value, (np.floating, np.integer)):
             value = value.item()
+        elif isinstance(value, (ProtocolStake, AnalysisSigmaStake)):
+            value = stake_policy_to_dict(value)
         out[key] = value
     return out
 

@@ -3,12 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tcrlab
 from tcrlab.cli import main
+from tcrlab.harness import MAX_VOTERS, aggregate_metrics, replicate
+from tcrlab.metrics import METRIC_NAMES
+from tcrlab.params import AnalysisSigmaStake, ProtocolStake, SimParams
 from tcrlab.serialize import TRACE_COLUMNS
 
 
@@ -146,6 +151,41 @@ def test_bad_input_exits_2_with_one_line(tmp_path, config, argv, message):
     run_bad_input(tmp_path, config, argv, message)
 
 
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ({"num_voters": 10**20}, ["simulate", "{config}"]),
+        ({"num_voters": MAX_VOTERS + 1}, ["simulate", "{config}"]),
+        ({"grid": {"num_voters": [10**20]}, "replications": 2}, ["sweep", "{config}"]),
+        ({"grid": {"p_informed": [0.5]}, "replications": 2,
+          "sim_params": {"num_voters": MAX_VOTERS + 1}}, ["sweep", "{config}", "--jobs", "2"]),
+        (None, ["validate", "--classes", f"{10**20},1,1,1"]),
+        (None, ["validate", "--classes", f"{MAX_VOTERS - 2},1,1,1"]),
+    ],
+)
+def test_too_many_voters_exits_2_before_allocating(tmp_path, capsys, config, argv):
+    """Only sizes rejected before any array is allocated are tried here."""
+    cfg = write_json(tmp_path / "cfg.json", config)
+    argv = [cfg if a == "{config}" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: num_voters must be <= {MAX_VOTERS}, got ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["validate", "--k", "x"], "argument --k: invalid int value: 'x'"),
+    ([], "the following arguments are required: command"),
+    (["plot", "a.csv", "--metric", "volume", "--out", "b.svg"], "argument --metric: invalid"),
+    (["validate", "a\nb"], "unrecognized arguments: a b"),
+])
+def test_usage_error_prints_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}"), err
+
+
 def run_bad_input(tmp_path, config, argv, message):
     """Run the CLI in a subprocess: exit 2, one stderr line naming the fault, no output."""
     cfg = tmp_path / "cfg.json"
@@ -197,6 +237,32 @@ class TestSweep:
     def test_empty_grid_exits_2(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", {"grid": {}, "replications": 1})
         assert main(["sweep", spec, "--out", str(tmp_path)]) == 2
+
+    def test_stake_policy_grid_matches_replicate(self, tmp_path):
+        doc = self.spec_doc(reps=6)
+        doc["grid"] = {"stake_policy": [{"kind": "protocol"},
+                                        {"kind": "analysis_sigma", "sigma": 0.1}]}
+        doc["sim_params"]["initial_stake"] = 40.0
+        spec = write_json(tmp_path / "spec.json", doc)
+        assert main(["sweep", spec, "--out", str(tmp_path)]) == 0
+        agg = json.loads((tmp_path / "aggregate.json").read_text())
+        policies = [ProtocolStake(), AnalysisSigmaStake(0.1)]
+        base = SimParams(num_items=10, num_voters=20, initial_stake=40.0)
+        means = []
+        for c, (policy, cell) in enumerate(zip(policies, agg["cells"])):
+            assert cell["params"] == {"stake_policy": doc["grid"]["stake_policy"][c]}
+            samples = replicate(replace(base, stake_policy=policy), 6, 3, c)
+            stats, counts = aggregate_metrics(samples)
+            for name, want in [*stats.items(), ("count", counts)]:
+                got = [[np.nan if v[name] is None else v[name] for v in rnd.values()]
+                       for rnd in cell["rounds"]]
+                order = sorted(range(len(METRIC_NAMES)), key=METRIC_NAMES.__getitem__)
+                assert np.array_equal(np.array(got), want[:, order], equal_nan=True), name
+            means.append(stats["mean"])
+        assert not np.array_equal(*means, equal_nan=True)  # the policy matters here
+        rows = read_rows(tmp_path / "aggregate.csv")
+        assert [json.loads(rows[0]["stake_policy"]), json.loads(rows[-1]["stake_policy"])] \
+            == doc["grid"]["stake_policy"]
 
     def test_unknown_grid_parameter_exits_2(self, tmp_path):
         spec = write_json(
