@@ -254,10 +254,9 @@ class TestSweep:
             samples = replicate(replace(base, stake_policy=policy), 6, 3, c)
             stats, counts = aggregate_metrics(samples)
             for name, want in [*stats.items(), ("count", counts)]:
-                got = [[np.nan if v[name] is None else v[name] for v in rnd.values()]
+                got = [[np.nan if rnd[m][name] is None else rnd[m][name] for m in METRIC_NAMES]
                        for rnd in cell["rounds"]]
-                order = sorted(range(len(METRIC_NAMES)), key=METRIC_NAMES.__getitem__)
-                assert np.array_equal(np.array(got), want[:, order], equal_nan=True), name
+                assert np.array_equal(np.array(got), want, equal_nan=True), name
             means.append(stats["mean"])
         assert not np.array_equal(*means, equal_nan=True)  # the policy matters here
         rows = read_rows(tmp_path / "aggregate.csv")
