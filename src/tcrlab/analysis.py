@@ -88,45 +88,6 @@ def value_per_token(p: AnalysisParams, k: int) -> float:
     return k / total_tokens(p, k)
 
 
-@dataclass(frozen=True)
-class TrendReport:
-    """Long-run wealth trend per class, implied by value decay x token growth."""
-
-    informed_engaged: str
-    uninformed_engaged: str
-    informed_disengaged: str
-    uninformed_disengaged: str
-    ue_tokens_growing: bool  # (1+delta) > 1/(1-sigma)
-
-
-def asymptotic_classification(p: AnalysisParams) -> TrendReport:
-    """Classify each class's wealth trend for delta > 0.
-
-    Per-token value decays as O(k / (1+delta)^k). Informed-engaged tokens
-    grow as (1+delta)^k, so their wealth grows linearly. Uninformed-engaged
-    tokens carry an extra (1-sigma)^k factor, so their wealth tends to 0
-    (possibly after initial sub-linear growth when inflation outpaces the
-    stake). Disengaged tokens are constant, so their wealth decays to 0.
-    """
-    if p.delta == 0:
-        raise ConfigurationError("no inflation; trends require delta > 0")
-    growth = (1.0 + p.delta) * (1.0 - p.sigma)
-    if abs(growth - 1.0) <= 1e-12:
-        growth = 1.0
-        ue_trend = "tokens constant; wealth tends to 0 like disengaged"
-    elif growth > 1.0:
-        ue_trend = "tends to 0 after initial sub-linear growth"
-    else:
-        ue_trend = "tends to 0"
-    return TrendReport(
-        informed_engaged="linear growth",
-        uninformed_engaged=ue_trend,
-        informed_disengaged="tends to 0",
-        uninformed_disengaged="tends to 0",
-        ue_tokens_growing=growth > 1.0,
-    )
-
-
 def _check_k(k: int) -> None:
     if k < 0:
         raise ValueError(f"round count must be >= 0, got {k}")

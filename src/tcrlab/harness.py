@@ -27,7 +27,14 @@ from .analysis import (
 )
 from .metrics import CLASS_ORDER, METRIC_NAMES, metric_rows
 from .params import AnalysisSigmaStake, ConfigurationError, SimParams, check_fields, check_seed
-from .protocol import InvariantViolation, RoundRecord, TcrState, init_registry, run_round
+from .protocol import (
+    InvariantViolation,
+    RoundRecord,
+    TcrState,
+    block_key,
+    init_registry,
+    run_round,
+)
 from .voters import RngStream, sample_roster
 
 
@@ -53,7 +60,7 @@ def run_simulation(
     otherwise the roster is sampled from the stream first.
     """
     params = config.sim_params
-    _check_voters(params)
+    _check_size(params)
     rng = RngStream(config.base_seed)
     if roster is None:
         roster = sample_roster(params, rng)
@@ -63,13 +70,15 @@ def run_simulation(
     return list(zip(records, rows[0]))
 
 
-def run_block(params: SimParams, seeds: list[int]) -> np.ndarray:
-    """Replications in lockstep, one stream per seed; (len(seeds), rounds, metrics) array.
+def run_block(params: Sequence[SimParams], seeds: list[int]) -> np.ndarray:
+    """Replications in lockstep, row r with ``params[r]`` and a stream seeded
+    ``seeds[r]``; (len(seeds), rounds, metrics) array.
 
-    Each replication's rows are those ``run_simulation`` gives for its seed.
+    The params must share a ``block_key``. Each replication's rows are those
+    ``run_simulation`` gives for its params and seed.
     """
     rngs = [RngStream(seed) for seed in seeds]
-    state = init_registry(params, [sample_roster(params, rng) for rng in rngs])
+    state = init_registry(params, [sample_roster(p, rng) for p, rng in zip(params, rngs)])
     return _advance(state, rngs)
 
 
@@ -80,7 +89,7 @@ def _advance(state: TcrState, rngs: list[RngStream], on_round=None) -> np.ndarra
     metrics need is observed after each round; the rows are computed once,
     at the end.
     """
-    rows, rounds = len(rngs), state.params.num_items
+    rows, rounds = len(rngs), state.num_items
     v_correct = np.empty((rows, rounds), dtype=np.int64)
     t_total = np.empty((rows, rounds))
     tokens = np.empty((rows, rounds, len(CLASS_ORDER)))
@@ -92,7 +101,7 @@ def _advance(state: TcrState, rngs: list[RngStream], on_round=None) -> np.ndarra
             v_correct[:, k] = state.v_correct
             t_total[:, k] = rnd.total
             tokens[:, k] = state.class_tokens()
-    return metric_rows(state.params.clamp_value, state.class_sizes[:, None], v_correct,
+    return metric_rows(state.clamp_value[:, None], state.class_sizes[:, None], v_correct,
                        np.arange(1, rounds + 1), t_total, tokens)
 
 
@@ -113,29 +122,43 @@ def derive_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
     return _mix64(h ^ _mix64(rep_index & _MASK64))
 
 
-# Voter slots (replications x voters) per lockstep block; larger cells are
-# split into more blocks, which bounds a block's memory.
+# Voter slots (replications x voters) per lockstep block; larger groups of
+# replications are split into more blocks, which bounds a block's memory.
 BLOCK_SLOTS = 2**18
 # Voters of one replication. A block never splits a replication, so this
 # bound keeps every block within BLOCK_SLOTS.
 MAX_VOTERS = BLOCK_SLOTS
+# Rounds of one run: every round keeps a metrics row per replication.
+MAX_ROUNDS = 2**20
 
 
-def _check_voters(params: SimParams) -> None:
-    """Reject a roster too large for one block, before anything is allocated."""
+def _check_size(params: SimParams) -> None:
+    """Reject a roster or a run too large for one block, before anything is allocated."""
     if params.num_voters > MAX_VOTERS:
         raise ConfigurationError(
             f"num_voters must be <= {MAX_VOTERS}, got {params.num_voters}"
         )
+    if params.num_items > MAX_ROUNDS:
+        raise ConfigurationError(
+            f"num_items must be <= {MAX_ROUNDS}, got {params.num_items}"
+        )
 
 
-def _block_task(task: tuple[SimParams, int, int, int, int]) -> np.ndarray:
-    params, base_seed, cell_index, start, stop = task
-    seeds = [derive_seed(base_seed, cell_index, rep) for rep in range(start, stop)]
+# A block task: the base seed, and the block's segments in row order. A
+# segment (position, cell_index, params, start, stop) holds replications
+# start..stop-1 of the cell at ``position`` in the list of cells.
+Segment = tuple[int, int, SimParams, int, int]
+
+
+def _block_task(task: tuple[int, tuple[Segment, ...]]) -> np.ndarray:
+    base_seed, segments = task
+    rows = [(cell_index, params, rep)
+            for _, cell_index, params, start, stop in segments for rep in range(start, stop)]
     try:
-        return run_block(params, seeds)
+        return run_block([params for _, params, _ in rows],
+                         [derive_seed(base_seed, cell_index, rep) for cell_index, _, rep in rows])
     except InvariantViolation as exc:
-        rep = "?" if exc.row is None else start + exc.row
+        cell_index, _, rep = ("?", None, "?") if exc.row is None else rows[exc.row]
         raise InvariantViolation(f"cell {cell_index}, replication {rep}: {exc}") from exc
 
 
@@ -144,32 +167,55 @@ def _replicate_cells(
 ) -> Iterator[np.ndarray]:
     """Each cell's (replications, rounds, metrics) samples, in the order given.
 
-    A cell's replications run in contiguous lockstep blocks, one block per
-    worker or more when a block would exceed BLOCK_SLOTS. At most one
-    process pool is started, with at most one worker per CPU and per
-    replication, and it runs the blocks of every cell. Results are placed
-    by (cell, replication), so the output is identical for any job count.
+    Cells with the same ``block_key`` (num_voters, num_items and the stake
+    policy kind) form a group, wherever they sit in the list. A group's
+    replications are laid end to end in (cell, replication) order and cut
+    into contiguous lockstep blocks, one per worker, or more when a block
+    would exceed BLOCK_SLOTS; a block can span cells. At most one process
+    pool is started, with at most one worker per CPU and per replication,
+    and it runs every block. Results are placed by (cell, replication), so
+    the output is identical for any job count.
     """
-    workers = min(jobs, os.cpu_count() or 1, replications * len(cells))
+    workers = max(1, min(jobs, os.cpu_count() or 1, replications * len(cells)))
+    groups: dict[tuple, list] = {}
+    for position, (cell_index, params) in enumerate(cells):
+        _check_size(params)
+        groups.setdefault(block_key(params), []).append((position, cell_index, params))
     tasks = []
-    for cell_index, params in cells:
-        _check_voters(params)
-        per_block = max(1, min(-(-replications // max(workers, 1)),
-                               BLOCK_SLOTS // params.num_voters))
-        tasks += [
-            (params, base_seed, cell_index, start, min(start + per_block, replications))
-            for start in range(0, replications, per_block)
-        ]
-    if workers <= 1:
-        yield from _by_cell(tasks, map(_block_task, tasks))
+    for (num_voters, _, _), members in groups.items():
+        total = replications * len(members)
+        per_block = max(1, min(-(-total // workers), BLOCK_SLOTS // num_voters))
+        for start in range(0, total, per_block):
+            stop = min(start + per_block, total)
+            segments = []
+            for m in range(start // replications, -(-stop // replications)):
+                position, cell_index, params = members[m]
+                first = m * replications  # the member's first row in the group
+                segments.append((position, cell_index, params,
+                                 max(start - first, 0), min(stop - first, replications)))
+            tasks.append((base_seed, tuple(segments)))
+    if workers == 1:
+        yield from _by_cell(len(cells), replications, tasks, map(_block_task, tasks))
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from _by_cell(tasks, pool.map(_block_task, tasks))
+        yield from _by_cell(len(cells), replications, tasks, pool.map(_block_task, tasks))
 
 
-def _by_cell(tasks, blocks) -> Iterator[np.ndarray]:
-    for _, group in itertools.groupby(zip(tasks, blocks), key=lambda tb: tb[0][2]):
-        yield np.concatenate([block for _, block in group])
+def _by_cell(num_cells, replications, tasks, blocks) -> Iterator[np.ndarray]:
+    """Each cell's samples, in cell order, as soon as its last block is done."""
+    parts = [[] for _ in range(num_cells)]
+    filled = [0] * num_cells
+    ready = 0
+    for (_, segments), block in zip(tasks, blocks):
+        offset = 0
+        for position, _, _, start, stop in segments:
+            parts[position].append(block[offset:offset + stop - start])
+            filled[position] += stop - start
+            offset += stop - start
+        while ready < num_cells and filled[ready] == replications:
+            yield np.concatenate(parts[ready])
+            parts[ready] = None
+            ready += 1
 
 
 def replicate(
@@ -319,8 +365,8 @@ def validate_against_analysis(a: AnalysisParams, k_max: int) -> ValidationReport
     Per-class mean balances, the total, and value-per-token are compared at
     every round k = 1..k_max.
     """
-    if k_max < 0:
-        raise ConfigurationError(f"k_max must be >= 0, got {k_max}")
+    if not 0 <= k_max <= MAX_ROUNDS:
+        raise ConfigurationError(f"k_max must be in [0, {MAX_ROUNDS}], got {k_max}")
     try:
         total_tokens(a, k_max)  # (1 + delta)^k grows with k, so k_max is the worst case
     except OverflowError as exc:
@@ -342,7 +388,7 @@ def validate_against_analysis(a: AnalysisParams, k_max: int) -> ValidationReport
         p_correct_uninformed=0.0,
         stake_policy=AnalysisSigmaStake(a.sigma),
     )
-    _check_voters(params)
+    _check_size(params)
     # (is_engaged, is_informed), grouped by class: IE, UE, ID, UD.
     roster = (
         [(True, True)] * a.n_ie

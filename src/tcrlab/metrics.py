@@ -42,17 +42,18 @@ def class_wealth(w_tot, t_tot, t_a, n_a):
     return np.divide(w_tot, t_tot) * per_voter
 
 
-def metric_rows(clamp_value: bool, class_sizes, v_correct, rounds, t_total, tokens) -> np.ndarray:
+def metric_rows(clamp_value, class_sizes, v_correct, rounds, t_total, tokens) -> np.ndarray:
     """Metric rows in METRIC_NAMES order from what a run observed after each round.
 
     ``v_correct`` (correct decisions), ``rounds`` (rounds done) and
-    ``t_total`` (token supply) share a shape S; ``tokens`` is S + (4,) in
-    CLASS_ORDER, and ``class_sizes`` broadcasts against it. Returns
-    S + (len(METRIC_NAMES),).
+    ``t_total`` (token supply) share a shape S, and ``clamp_value`` (whether
+    wealth uses the clamped value) broadcasts against it; ``tokens`` is
+    S + (4,) in CLASS_ORDER, and ``class_sizes`` broadcasts against it.
+    Returns S + (len(METRIC_NAMES),).
     """
     raw = lurp(v_correct, rounds - v_correct)
     clamped = np.maximum(raw, 0)
-    value = clamped if clamp_value else raw
+    value = np.where(clamp_value, clamped, raw)
     wealth = class_wealth(value[..., None], t_total[..., None], tokens, class_sizes)
     return np.concatenate(
         (raw[..., None], clamped[..., None], t_total[..., None], tokens, wealth), axis=-1

@@ -6,11 +6,14 @@ the stake, draw the eligible voters' votes, tally them, move the stake pool
 to the winning side, inflate the balances of everyone who voted, and record
 the decision.
 
-A state holds a block of R replications of one cell, advanced in lockstep:
-balances are an (R, N) array, one row per replication, and every step works
-on boolean (R, N) masks. Each replication keeps its own stream, drawn in the
-order ``voters.py`` fixes. Every per-replication sum runs over the same
-elements in the same order as a sum over that replication alone, so a
+A state holds a block of R replications advanced in lockstep: balances are
+an (R, N) array, one row per replication, and every step works on boolean
+(R, N) masks. A block may span cells: its rows share a ``block_key``
+(num_voters, num_items and the stake policy kind), and every other
+parameter is a per-row column. Each replication keeps its own stream, drawn
+in the order ``voters.py`` fixes. Every per-replication sum runs over the
+same elements in the same order as a sum over that replication alone, and
+each per-row column feeds the same operation a scalar parameter would, so a
 replication's output does not depend on the block it runs in.
 """
 
@@ -24,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .params import AnalysisSigmaStake, ConfigurationError, ProtocolStake, SimParams
+from .params import AnalysisSigmaStake, ConfigurationError, SimParams
 from .voters import RngStream, VoterClass
 
 REL_TOL = 1e-9
@@ -142,19 +145,41 @@ class TcrState:
     """Registry state of a block of R replications between rounds.
 
     Balances, engagement and informedness are (R, N) arrays indexed by
-    (replication row, voter id). Classes never change during a run, so
-    their sizes, an (R, 4) array in ``VoterClass`` order, and the index
-    groups that sum each class's tokens are fixed here. Every round yields
-    one decision per replication, so ``v_incorrect`` is ``round_index``
-    minus ``v_correct``.
+    (replication row, voter id). Row r runs with ``params[r]``; the rows of
+    a block share a ``block_key``, and everything else a cell may vary is
+    held here once, as an (R,) or (R, 1) column. Classes never change
+    during a run, so their sizes, an (R, 4) array in ``VoterClass`` order,
+    and the index groups that sum each class's tokens are fixed here. Every
+    round yields one decision per replication, so ``v_incorrect`` is
+    ``round_index`` minus ``v_correct``.
     """
 
-    def __init__(self, params: SimParams, balances: np.ndarray,
-                 is_engaged: np.ndarray, is_informed: np.ndarray):
-        self.params = params
-        self.balances = balances
+    def __init__(self, params: Sequence[SimParams], is_engaged: np.ndarray,
+                 is_informed: np.ndarray):
+        if len({block_key(p) for p in params}) != 1:
+            raise ConfigurationError(
+                "the rows of a block must share num_voters, num_items and the stake policy kind"
+            )
+        self.params = tuple(params)
+        self.num_voters, self.num_items, policy = block_key(params[0])
+        self.sigma_stake = policy is AnalysisSigmaStake
+        # Derived values such as 1 + delta are computed in Python, row by row,
+        # so each column entry is the float a scalar parameter would give.
+        (initial, growth, self.inflation_rate, self.stake_factor, item_good, vote_engaged,
+         vote_disengaged, correct_informed, correct_uninformed) = np.array([
+            (p.initial_tokens, 1.0 + p.inflation_rate, p.inflation_rate,
+             p.stake_policy.sigma if self.sigma_stake else p.initial_stake / p.initial_tokens,
+             p.p_item_good, p.p_vote_engaged, p.p_vote_disengaged,
+             p.p_correct_informed, p.p_correct_uninformed)
+            for p in params
+        ], dtype=np.float64).T
+        self.growth = growth[:, None]
+        self.clamp_value = np.array([p.clamp_value for p in params])
+        rows, n = is_engaged.shape
+        self.balances = np.empty((rows, n))
+        self.balances[:] = initial[:, None]
         self.round_index = 0
-        self.v_correct = np.zeros(len(balances), dtype=np.int64)
+        self.v_correct = np.zeros(rows, dtype=np.int64)
         # (R, 4, N) in VoterClass order: IE, ID, UE, UD.
         masks = np.stack([is_informed & is_engaged, is_informed & ~is_engaged,
                           ~is_informed & is_engaged, ~is_informed & ~is_engaged], axis=1)
@@ -162,10 +187,16 @@ class TcrState:
         self.class_sizes = masks.sum(axis=2)
         # The first draw of a round decides the item, the next N who intends to vote.
         self.draw_cutoffs = np.concatenate(
-            (np.full((len(balances), 1), params.p_item_good),
-             np.where(is_engaged, params.p_vote_engaged, params.p_vote_disengaged)), axis=1)
-        self.p_correct = np.where(is_informed, params.p_correct_informed,
-                                  params.p_correct_uninformed)
+            (item_good[:, None],
+             np.where(is_engaged, vote_engaged[:, None], vote_disengaged[:, None])), axis=1)
+        self.p_correct = np.where(is_informed, correct_informed[:, None],
+                                  correct_uninformed[:, None])
+        # Buffers every round draws into: the item and participation draws
+        # row by row, and each row's vote draws end to end.
+        self._draws = np.empty((rows, n + 1))
+        self._draw_rows = list(self._draws)
+        self._votes = np.empty(rows * n)
+        self._vote_grid = np.zeros((rows, n))
 
     @property
     def v_incorrect(self) -> np.ndarray:
@@ -190,6 +221,11 @@ class TcrState:
         ue = self._class_masks[:, _UE]
         base = ue | ~ue.any(axis=1, keepdims=True)
         return _sum_groups(base[:, None]), base.sum(axis=1)
+
+
+def block_key(params: SimParams) -> tuple:
+    """What fixes a block's shape and round path: cells with equal keys can share a block."""
+    return params.num_voters, params.num_items, type(params.stake_policy)
 
 
 def _sum_groups(masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -225,28 +261,33 @@ def _grouped_sums(balances: np.ndarray, groups, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
-def init_registry(params: SimParams, rosters) -> TcrState:
+def init_registry(params: SimParams | Sequence[SimParams], rosters) -> TcrState:
     """A fresh block, one replication per roster; every voter starts at the initial balance.
 
     ``rosters`` is (R, N, 2) booleans: (is_engaged, is_informed) per voter.
+    ``params`` is one ``SimParams`` for every row, or one per row, all with
+    the same ``block_key``.
     """
     rosters = np.asarray(rosters, dtype=bool)
-    if rosters.ndim != 3 or rosters.shape[1:] != (params.num_voters, 2):
+    if isinstance(params, SimParams):
+        params = [params] * len(rosters)
+    if (rosters.ndim != 3 or len(params) != len(rosters)
+            or rosters.shape[1:] != (params[0].num_voters, 2)):
         raise ConfigurationError(
-            f"rosters have shape {rosters.shape}, params expect (R, {params.num_voters}, 2)"
+            f"rosters have shape {rosters.shape}, params expect "
+            f"({len(params)}, {params[0].num_voters}, 2)"
         )
-    balances = np.full(rosters.shape[:2], params.initial_tokens, dtype=np.float64)
-    return TcrState(params, balances, rosters[..., 0].copy(), rosters[..., 1].copy())
+    return TcrState(params, rosters[..., 0].copy(), rosters[..., 1].copy())
 
 
 def required_stake(state: TcrState, total: np.ndarray) -> np.ndarray:
     """(R,) stake every participant must lock this round, given the (R,) token supply."""
-    p = state.params
-    if isinstance(p.stake_policy, ProtocolStake):
-        return (p.initial_stake / p.initial_tokens) * (total / p.num_voters)
-    assert isinstance(p.stake_policy, AnalysisSigmaStake)
-    groups, sizes = state._stake_base
-    return p.stake_policy.sigma * (_grouped_sums(state.balances, groups, sizes.shape) / sizes)
+    if state.sigma_stake:
+        groups, sizes = state._stake_base
+        base = _grouped_sums(state.balances, groups, sizes.shape) / sizes
+    else:
+        base = total / state.num_voters
+    return state.stake_factor * base
 
 
 def tally(add_count, reject_count):
@@ -265,20 +306,23 @@ def settle(state: TcrState, stake: np.ndarray, winners: np.ndarray, losers: np.n
     """
     moved = n_win != n_lose
     payout = np.divide(stake * (n_win + n_lose), n_win, out=stake.copy(), where=moved)
-    bal = state.balances
-    # A tie's payout is the stake, so its winners gain exactly 0.0.
-    np.add(bal, (payout - stake)[:, None], out=bal, where=winners)
-    np.subtract(bal, np.where(moved, stake, 0.0)[:, None], out=bal, where=losers)
+    # The sides tally chooses have n_win >= 1 whenever they differ, so for a
+    # finite stake both columns are finite and non-negative. A voter on
+    # neither side then gains 0.0 - 0.0, which leaves its balance's bits as
+    # they are (balances are never -0.0), and a loser's x + (0.0 - cut) is
+    # x - cut. A tie's winners gain 0.0.
+    gain, cut = (payout - stake)[:, None], np.where(moved, stake, 0.0)[:, None]
+    state.balances += gain * winners - cut * losers
     return payout
 
 
-def apply_inflation(state: TcrState, participants: np.ndarray, delta: float) -> None:
-    """Multiply every participant's post-settlement balance by (1 + delta).
+def apply_inflation(state: TcrState, participants: np.ndarray) -> None:
+    """Multiply every participant's post-settlement balance by its row's (1 + delta).
 
-    Losing voters are inflated too; forced abstainers and non-voters are not.
+    Losing voters are inflated too; forced abstainers and non-voters are not
+    (their balances are multiplied by 1.0, which keeps their bits).
     """
-    if delta != 0.0:
-        np.multiply(state.balances, 1.0 + delta, out=state.balances, where=participants)
+    state.balances *= np.where(participants, state.growth, 1.0)
 
 
 def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
@@ -292,41 +336,42 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     invalid="ignore")``: a row that overflows or turns NaN fails those
     checks, which report it once.
     """
-    p = state.params
     bal = state.balances
-    rows, n = bal.shape
-    pre_settle_total = bal.sum(axis=1)
+    n = state.num_voters
+    pre_settle_total = np.add.reduce(bal, axis=1)
     stake = required_stake(state, pre_settle_total)
-    draws = np.empty((rows, n + 1))
-    for r, rng in enumerate(rngs):
-        draws[r] = rng.uniform(n + 1)
-    below = draws < state.draw_cutoffs
+    for rng, draws in zip(rngs, state._draw_rows):
+        rng.uniform(n + 1, draws)
+    below = state._draws < state.draw_cutoffs
     item_good, intends = below[:, 0], below[:, 1:]
     eligible = intends & (bal >= (stake * (1.0 - REL_TOL))[:, None])
-    n_eligible = eligible.sum(axis=1)
-    ids = eligible.reshape(-1).nonzero()[0]
-    votes = np.concatenate([rng.uniform(k) for rng, k in zip(rngs, n_eligible.tolist())])
-    add = np.zeros((rows, n), dtype=bool)
-    add.reshape(-1)[ids] = ((votes < state.p_correct.ravel()[ids])
-                            == np.repeat(item_good, n_eligible))
-    n_add = add.sum(axis=1)
+    n_eligible = np.add.reduce(eligible, axis=1)
+    # Each row's vote draws, end to end, then placed at its eligible voters.
+    votes, start = state._votes, 0
+    for rng, stop in zip(rngs, n_eligible.cumsum().tolist()):
+        rng.uniform(stop - start, votes[start:stop])
+        start = stop
+    state._vote_grid[eligible] = votes[:start]
+    add = eligible & ((state._vote_grid < state.p_correct) == item_good[:, None])
+    n_add = np.add.reduce(add, axis=1)
     n_reject = n_eligible - n_add
     decision_add = tally(n_add, n_reject)
 
-    winners = np.where(decision_add[:, None], add, eligible ^ add)
+    winners = eligible & (add == decision_add[:, None])
     n_win = np.where(decision_add, n_add, n_reject)
     payout = settle(state, stake, winners, eligible ^ winners, n_win, n_eligible - n_win)
-    post_settle_total = bal.sum(axis=1)
-    participant_tokens = (bal * eligible).sum(axis=1)
-    apply_inflation(state, eligible, p.inflation_rate)
-    total = bal.sum(axis=1)
-    expected = post_settle_total + p.inflation_rate * participant_tokens
+    post_settle_total = np.add.reduce(bal, axis=1)
+    participant_tokens = np.add.reduce(bal * eligible, axis=1)
+    apply_inflation(state, eligible)
+    total = np.add.reduce(bal, axis=1)
+    expected = post_settle_total + state.inflation_rate * participant_tokens
     # One test that implies every check below, since hypot(a, b) >= |a|, |b|
-    # and non-negative balances give expected >= pre_settle_total - drift;
-    # the checks run only when it fails.
+    # and the smaller of the two totals scales both closeness checks; a
+    # balance a rounding step below zero passes, as it does below. The
+    # checks run only when it fails.
     if not ((np.hypot(post_settle_total - pre_settle_total, total - expected)
-             / np.maximum(pre_settle_total, 1.0)).max() <= 0.5 * REL_TOL
-            and bal.min() >= 0.0):
+             / np.maximum(np.minimum(pre_settle_total, expected), 1.0)).max() <= 0.5 * REL_TOL
+            and bal.min() >= -REL_TOL):
         _check_round(state, rngs, stake, pre_settle_total, post_settle_total, total, expected)
 
     state.v_correct += decision_add == item_good
@@ -345,7 +390,7 @@ def _check_round(state, rngs, stake, pre_settle_total, post_settle_total, total,
         if not math.isfinite(total[r]):
             raise ConfigurationError(
                 f"token balances overflow at round {k}: inflation_rate "
-                f"{state.params.inflation_rate} compounds past the float range"
+                f"{state.params[r].inflation_rate} compounds past the float range"
             )
         _check_close(float(total[r]), float(expected[r]), "inflation bookkeeping", where, r)
         if not state.balances[r].min() >= -REL_TOL * max(1.0, float(stake[r])):

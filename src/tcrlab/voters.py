@@ -6,7 +6,8 @@ engagement, then one for informedness, voter-id order). Then, per round:
 one draw for the item's polarity, one participation draw per voter in
 voter-id order, and finally one vote draw per *eligible* participant in
 voter-id order. The item and participation draws are taken as one vector
-of N + 1, which yields the same numbers as N + 1 scalar draws.
+of N + 1; draws split over several calls, or written into a buffer, yield
+the same numbers as one call.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ class RngStream:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def uniform(self, n: int | None = None):
-        """One uniform draw in [0, 1), or a vector of n draws."""
-        if n is None:
-            return float(self._gen.random())
-        return self._gen.random(n)
+    def uniform(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n draws in [0, 1); written into ``out``, which must hold exactly n, when given."""
+        return self._gen.random(n) if out is None else self._gen.random(out=out)
 
 
 class VoterClass(enum.Enum):
@@ -37,12 +36,6 @@ class VoterClass(enum.Enum):
     INFORMED_DISENGAGED = "ID"
     UNINFORMED_ENGAGED = "UE"
     UNINFORMED_DISENGAGED = "UD"
-
-    @classmethod
-    def from_flags(cls, is_engaged: bool, is_informed: bool) -> "VoterClass":
-        if is_informed:
-            return cls.INFORMED_ENGAGED if is_engaged else cls.INFORMED_DISENGAGED
-        return cls.UNINFORMED_ENGAGED if is_engaged else cls.UNINFORMED_DISENGAGED
 
 
 def sample_roster(params: SimParams, rng: RngStream) -> np.ndarray:

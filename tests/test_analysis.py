@@ -2,7 +2,6 @@ import pytest
 
 from tcrlab.analysis import (
     AnalysisParams,
-    asymptotic_classification,
     tokens_disengaged,
     tokens_informed_engaged,
     tokens_uninformed_engaged,
@@ -133,31 +132,3 @@ class TestValuePerToken:
             w_k = value_per_token(BASE, k) * tokens_informed_engaged(BASE, k)
             w_2k = value_per_token(BASE, 2 * k) * tokens_informed_engaged(BASE, 2 * k)
             assert w_2k / w_k == pytest.approx(2.0, rel=0.05)
-
-
-class TestAsymptoticClassification:
-    def test_reference_case(self):
-        report = asymptotic_classification(BASE)
-        assert report.informed_engaged == "linear growth"
-        assert "tends to 0" in report.uninformed_engaged
-        assert report.informed_disengaged == "tends to 0"
-        assert report.uninformed_disengaged == "tends to 0"
-
-    def test_ue_boundary(self):
-        sigma = 0.05
-        delta = 1.0 / (1.0 - sigma) - 1.0
-        p = AnalysisParams(t0=100.0, sigma=sigma, delta=delta, n_ie=3, n_ue=2, n_id=0, n_ud=0)
-        report = asymptotic_classification(p)
-        assert not report.ue_tokens_growing
-        assert "constant" in report.uninformed_engaged
-
-    def test_ue_sublinear_start_when_inflation_outpaces_stake(self):
-        p = AnalysisParams(t0=100.0, sigma=0.02, delta=0.05, n_ie=3, n_ue=2, n_id=0, n_ud=0)
-        report = asymptotic_classification(p)
-        assert report.ue_tokens_growing
-        assert "tends to 0" in report.uninformed_engaged
-
-    def test_no_inflation_rejected(self):
-        p = AnalysisParams(t0=100.0, sigma=0.05, delta=0.0, n_ie=3, n_ue=2, n_id=0, n_ud=0)
-        with pytest.raises(ConfigurationError):
-            asymptotic_classification(p)

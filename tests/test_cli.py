@@ -11,7 +11,7 @@ import pytest
 
 import tcrlab
 from tcrlab.cli import main
-from tcrlab.harness import MAX_VOTERS, aggregate_metrics, replicate
+from tcrlab.harness import MAX_ROUNDS, MAX_VOTERS, aggregate_metrics, replicate
 from tcrlab.metrics import METRIC_NAMES
 from tcrlab.params import AnalysisSigmaStake, ProtocolStake, SimParams
 from tcrlab.serialize import TRACE_COLUMNS
@@ -169,6 +169,31 @@ def test_too_many_voters_exits_2_before_allocating(tmp_path, capsys, config, arg
     argv = [cfg if a == "{config}" else a for a in argv]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: num_voters must be <= {MAX_VOTERS}, got ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config,argv,message",
+    [
+        ({"num_items": 10**20}, ["simulate", "{config}"], "num_items must be <= "),
+        ({"num_items": MAX_ROUNDS + 1}, ["simulate", "{config}"], "num_items must be <= "),
+        ({"grid": {"num_items": [10**20]}, "replications": 2}, ["sweep", "{config}"],
+         "num_items must be <= "),
+        ({"grid": {"p_informed": [0.5]}, "replications": 2,
+          "sim_params": {"num_items": MAX_ROUNDS + 1}}, ["sweep", "{config}", "--jobs", "2"],
+         "num_items must be <= "),
+        (None, ["validate", "--delta", "0", "--k", str(10**20)], "k_max must be in [0, "),
+        (None, ["validate", "--k", str(MAX_ROUNDS + 1)], "k_max must be in [0, "),
+    ],
+)
+def test_too_many_rounds_exits_2_before_allocating(tmp_path, capsys, config, argv, message):
+    """Only round counts rejected before any array is allocated are tried here."""
+    cfg = write_json(tmp_path / "cfg.json", config)
+    argv = [cfg if a == "{config}" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and str(MAX_ROUNDS) in err
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -133,10 +133,11 @@ class TestReplicate:
 
             def map(self, fn, tasks):
                 tasks = list(tasks)
-                # every cell is split into one contiguous block per worker
-                assert [t[2:] for t in tasks] == [
-                    (c, start, start + 3) for c in range(4) for start in (0, 3)
-                ]
+                # the four cells share a block key, so their 24 rows are cut
+                # into one contiguous block per worker
+                assert [[(c, start, stop) for _, c, _, start, stop in segments]
+                        for _, segments in tasks] == [[(0, 0, 6), (1, 0, 6)],
+                                                      [(2, 0, 6), (3, 0, 6)]]
                 return map(fn, tasks)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
@@ -225,6 +226,86 @@ class TestBatchingInvariance:
             assert np.array_equal(agg.cells[c].counts, counts)
             for name in stats:
                 assert np.array_equal(agg.cells[c].stats[name], stats[name], equal_nan=True)
+
+
+
+# Every parameter a cell of a block may vary, over four small grids.
+SPANNING_GRIDS = {
+    "inflation-clamp-item": (("inflation_rate", (0.0, 0.05)), ("clamp_value", (True, False)),
+                             ("p_item_good", (0.3, 0.8))),
+    "roster-tokens": (("p_engaged", (0.2, 0.9)), ("p_informed", (0.1, 0.7)),
+                      ("initial_tokens", (100.0, 37.5))),
+    "votes-stake": (("p_vote_engaged", (0.6, 1.0)), ("p_vote_disengaged", (0.0, 0.4)),
+                    ("initial_stake", (5.0, 30.0))),
+    "correct-sigma": (("p_correct_informed", (0.7, 1.0)), ("p_correct_uninformed", (0.0, 0.3)),
+                      ("stake_policy", (AnalysisSigmaStake(0.05), AnalysisSigmaStake(0.2)))),
+}
+
+
+def sweep_samples(spec, jobs):
+    """Each cell's samples from one cell-spanning sweep, in cell order."""
+    cells = [(c, replace(spec.base_params, **o)) for c, o in enumerate(spec.cells())]
+    return list(harness._replicate_cells(cells, spec.replications, spec.base_seed, jobs))
+
+
+class TestCellSpanningBlocks:
+    @pytest.mark.parametrize("slots", [None, 9 * 7])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", list(SPANNING_GRIDS))
+    def test_sweep_matches_replicate_per_cell(self, monkeypatch, name, jobs, slots):
+        if slots is not None:  # 7 rows per block: blocks cut cells at odd offsets
+            monkeypatch.setattr(harness, "BLOCK_SLOTS", slots)
+        spec = SweepSpec(grid=SPANNING_GRIDS[name], replications=5, base_seed=12,
+                         base_params=SimParams(num_voters=9, num_items=12))
+        agg = run_sweep(spec, jobs=jobs)
+        for c, (overrides, got) in enumerate(zip(spec.cells(), sweep_samples(spec, jobs))):
+            expected = replicate(replace(spec.base_params, **overrides), 5, 12, cell_index=c)
+            assert got.tobytes() == expected.tobytes(), overrides
+            stats, counts = aggregate_metrics(expected)
+            assert np.array_equal(agg.cells[c].counts, counts)
+            for stat in stats:
+                assert agg.cells[c].stats[stat].tobytes() == stats[stat].tobytes()
+
+    def test_groups_gather_cells_that_are_not_neighbours(self, monkeypatch):
+        # The block key's axes vary fastest, so no two cells of a group are adjacent.
+        spec = SweepSpec(
+            grid=(("inflation_rate", (0.0, 0.05)), ("num_voters", (9, 12)),
+                  ("stake_policy", (ProtocolStake(), AnalysisSigmaStake(0.1))),
+                  ("num_items", (0, 7))),
+            replications=3, base_seed=4, base_params=SimParams(initial_stake=30.0),
+        )
+        blocks = []
+        run_block = harness.run_block
+
+        def recording_run_block(params, seeds):
+            blocks.append(len(seeds))
+            return run_block(params, seeds)
+
+        monkeypatch.setattr(harness, "run_block", recording_run_block)
+        got = sweep_samples(spec, jobs=1)
+        assert blocks == [6] * 8  # two cells, eight apart, per block
+        for c, overrides in enumerate(spec.cells()):
+            expected = replicate(replace(spec.base_params, **overrides), 3, 4, cell_index=c)
+            assert got[c].shape == expected.shape
+            assert got[c].tobytes() == expected.tobytes(), overrides
+
+    def test_invariant_violation_names_the_second_cell_of_a_block(self, monkeypatch):
+        run_round = harness.run_round
+
+        def corrupt_row_5_at_round_3(state, rngs):
+            if state.round_index == 3:
+                state.balances[5, 0] = np.nan
+            return run_round(state, rngs)
+
+        monkeypatch.setattr(harness, "run_round", corrupt_row_5_at_round_3)
+        spec = SweepSpec(grid=(("p_informed", (0.1, 0.9)),), replications=4, base_seed=8,
+                         base_params=SimParams(num_items=5, num_voters=10))
+        with pytest.raises(InvariantViolation) as exc:
+            run_sweep(spec)  # one block: rows 0-3 are cell 0, rows 4-7 cell 1
+        seed = derive_seed(8, 1, 1)
+        assert str(exc.value) == (
+            f"cell 1, replication 1: settlement zero-sum at round 3 (seed {seed}): nan != nan"
+        )
 
 
 class TestSweep:

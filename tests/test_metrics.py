@@ -14,7 +14,7 @@ WEALTH = [f"wealth_{cls.value}" for cls in CLASS_ORDER]
 
 def snapshot(state):
     """The metric rows of a block's current state."""
-    return metric_rows(state.params.clamp_value, state.class_sizes, state.v_correct,
+    return metric_rows(state.clamp_value, state.class_sizes, state.v_correct,
                        state.round_index, state.total_tokens, state.class_tokens())
 
 

@@ -124,7 +124,9 @@ def test_roster_classes_partition_voters(n, p_e, p_i, seed):
     tokens = state.class_tokens()[0]
     assert state.class_sizes.sum() == n
     assert tokens.sum() == state.total_tokens[0]
-    for c, cls in enumerate(VoterClass):
-        in_class = [VoterClass.from_flags(e, i) is cls for e, i in roster]
+    # (is_engaged, is_informed) of each class, in VoterClass order: IE, ID, UE, UD.
+    flags = [(True, True), (False, True), (True, False), (False, False)]
+    for c, cls_flags in enumerate(flags):
+        in_class = [(e, i) == cls_flags for e, i in roster.tolist()]
         assert sum(in_class) == state.class_sizes[0, c]
         assert tokens[c] == state.balances[0][in_class].sum()

@@ -171,17 +171,26 @@ class TestSettle:
         assert np.allclose(state.balances, [[103, 103, 94], [100, 100, 100], [94, 103, 103]])
 
 
+def mixed_delta_state(n, deltas):
+    """A block with one row per inflation rate, every voter engaged and informed."""
+    params = [SimParams(num_voters=n, inflation_rate=d) for d in deltas]
+    return init_registry(params, [[(True, True)] * n] * len(deltas))
+
+
 class TestApplyInflation:
-    def test_participant_inflated(self):
-        state = make_state(n=2)
-        apply_inflation(state, mask(2, {0}), 0.02)
-        assert state.balances[0, 0] == pytest.approx(102.0)
-        assert state.balances[0, 1] == pytest.approx(100.0)
+    def test_participant_inflated_at_its_rows_rate(self):
+        state = mixed_delta_state(2, [0.02, 0.5])
+        apply_inflation(state, np.array([[True, False], [False, True]]))
+        assert state.balances.tolist() == [[100.0 * 1.02, 100.0], [100.0, 150.0]]
 
     def test_zero_delta_is_identity(self):
-        state = make_state(n=5)
-        apply_inflation(state, mask(5, range(5)), 0.0)
-        assert np.allclose(state.balances, 100.0)
+        # A row at delta 0 keeps its balances' bits, whatever the other rows do.
+        state = mixed_delta_state(5, [0.0, 0.05])
+        state.balances[:] = [[0.0, 1e-300, 3.3, 7e12, 1.0 / 3.0], [1.0] * 5]
+        before = state.balances[0].tobytes()
+        apply_inflation(state, np.ones((2, 5), dtype=bool))
+        assert state.balances[0].tobytes() == before
+        assert state.balances[1].tolist() == [1.05] * 5
 
 
 class TestRunRound:
@@ -222,7 +231,7 @@ class TestRunRound:
         assert record.add_voters | record.reject_voters == frozenset({0, 1, 2})
         replay = RngStream(5)
         replay.uniform(1 + 10 + 3)
-        assert rng.uniform() == replay.uniform()
+        assert rng.uniform(1) == replay.uniform(1)
 
     def test_forced_abstention_recorded_and_uninflated(self):
         state = make_state(n=4, inflation_rate=0.02, **SURE)
@@ -250,6 +259,15 @@ class TestInvariantsFailOnNan:
         state = make_state(n=4)
         state.balances[0, 0] = np.nan
         with pytest.raises(InvariantViolation, match="settlement zero-sum at round 0"):
+            one_round(state)
+
+    def test_negative_balance_raises_but_rounding_residue_passes(self):
+        # Nobody votes, so the round only has to keep balances non-negative.
+        state = make_state(n=4, p_vote_engaged=0.0)
+        state.balances[0, :2] = [-1e-12, 100.0 + 1e-12]
+        one_round(state)
+        state.balances[0, :2] = [-1e-6, 100.0 + 1e-6]
+        with pytest.raises(InvariantViolation, match=r"negative balance after round 1 \(seed 0\)"):
             one_round(state)
 
     def test_overflow_is_a_configuration_error(self):

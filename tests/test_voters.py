@@ -5,7 +5,7 @@ import pytest
 
 from tcrlab.params import SimParams
 from tcrlab.protocol import init_registry, run_round
-from tcrlab.voters import RngStream, VoterClass, sample_roster
+from tcrlab.voters import RngStream, sample_roster
 
 
 def one_round(roster, seed=0, **kwargs):
@@ -18,31 +18,20 @@ class TestRngStream:
     def test_same_seed_same_sequence(self):
         a = RngStream(123)
         b = RngStream(123)
-        assert [a.uniform() for _ in range(100)] == [b.uniform() for _ in range(100)]
+        assert a.uniform(100).tolist() == b.uniform(100).tolist()
 
-    def test_scalar_and_vector_draws_share_the_stream(self):
+    def test_split_draws_into_buffers_share_the_stream(self):
+        # Draws taken in pieces into slices of one buffer, an empty piece
+        # included, equal one vector draw bit for bit.
         a = RngStream(7)
         b = RngStream(7)
-        scalars = [a.uniform() for _ in range(50)]
-        vector = b.uniform(50)
-        assert np.allclose(scalars, vector)
+        buf = np.empty(50)
+        for start, stop in ((0, 1), (1, 1), (1, 20), (20, 50)):
+            a.uniform(stop - start, buf[start:stop])
+        assert buf.tobytes() == b.uniform(50).tobytes()
 
     def test_different_seeds_differ(self):
-        assert RngStream(1).uniform() != RngStream(2).uniform()
-
-
-class TestVoterClass:
-    def test_bijection_with_flags(self):
-        seen = {
-            VoterClass.from_flags(e, i)
-            for e in (False, True)
-            for i in (False, True)
-        }
-        assert seen == set(VoterClass)
-
-    def test_flag_mapping(self):
-        assert VoterClass.from_flags(True, True) is VoterClass.INFORMED_ENGAGED
-        assert VoterClass.from_flags(False, False) is VoterClass.UNINFORMED_DISENGAGED
+        assert RngStream(1).uniform(1) != RngStream(2).uniform(1)
 
 
 class TestSampleRoster:
@@ -61,12 +50,12 @@ class TestSampleRoster:
         # sigma = sqrt(10000 * 0.25 * 0.75) ~ 43.3
         params = SimParams(num_voters=10000, p_engaged=0.5, p_informed=0.5)
         roster = sample_roster(params, RngStream(2024))
-        counts = {cls: 0 for cls in VoterClass}
-        for e, i in roster:
-            counts[VoterClass.from_flags(e, i)] += 1
+        engaged, informed = roster.T
+        counts = [np.count_nonzero(e & i)
+                  for e in (engaged, ~engaged) for i in (informed, ~informed)]
         sigma = math.sqrt(10000 * 0.25 * 0.75)
-        for cls, n in counts.items():
-            assert abs(n - 2500) <= 3 * sigma, (cls, n)
+        for n in counts:
+            assert abs(n - 2500) <= 3 * sigma, counts
 
     def test_deterministic_given_seed(self):
         params = SimParams(num_voters=200)
