@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 import warnings
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -130,10 +133,13 @@ BLOCK_SLOTS = 2**18
 MAX_VOTERS = BLOCK_SLOTS
 # Rounds of one run: every round keeps a metrics row per replication.
 MAX_ROUNDS = 2**20
+# Replications x rounds of one cell, and of one block: each keeps a metrics
+# row, so a cell's samples stay under about 0.4 GB.
+MAX_ROW_ROUNDS = 2**22
 
 
-def _check_size(params: SimParams) -> None:
-    """Reject a roster or a run too large for one block, before anything is allocated."""
+def _check_size(params: SimParams, replications: int = 1) -> None:
+    """Reject a roster, a run or a cell too large, before anything is allocated."""
     if params.num_voters > MAX_VOTERS:
         raise ConfigurationError(
             f"num_voters must be <= {MAX_VOTERS}, got {params.num_voters}"
@@ -141,6 +147,11 @@ def _check_size(params: SimParams) -> None:
     if params.num_items > MAX_ROUNDS:
         raise ConfigurationError(
             f"num_items must be <= {MAX_ROUNDS}, got {params.num_items}"
+        )
+    if replications * params.num_items > MAX_ROW_ROUNDS:
+        raise ConfigurationError(
+            f"replications x num_items must be <= {MAX_ROW_ROUNDS}, "
+            f"got {replications} x {params.num_items}"
         )
 
 
@@ -162,6 +173,46 @@ def _block_task(task: tuple[int, tuple[Segment, ...]]) -> np.ndarray:
         raise InvariantViolation(f"cell {cell_index}, replication {rep}: {exc}") from exc
 
 
+class _SharedPool:
+    """The process pool that parallel calls share.
+
+    The first parallel call starts it and later calls with the same worker
+    count reuse it, so repeated sweeps pay pool start-up once. A call that
+    needs another worker count first shuts the old pool down and waits for
+    it, so at most one pool is alive and no process forks while an old
+    pool's threads still run. Workers start with the pool, so they do not
+    see later changes to this process's module state. The pool shuts down
+    at interpreter exit.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._executor: ProcessPoolExecutor | None = None
+        self._workers = 0
+
+    def submit(self, workers: int, tasks: list) -> list[Future]:
+        """One ``_block_task`` future per task, in order, on ``workers`` processes."""
+        with self._lock:
+            if self._executor is None or self._workers != workers:
+                self._shutdown()
+                self._executor = ProcessPoolExecutor(max_workers=workers)
+                self._workers = workers
+            return [self._executor.submit(_block_task, task) for task in tasks]
+
+    def close(self) -> None:
+        """Shut the pool down once its submitted work is done; the next call starts another."""
+        with self._lock:
+            self._shutdown()
+
+    def _shutdown(self) -> None:
+        if self._executor is not None:
+            executor, self._executor = self._executor, None
+            executor.shutdown(wait=True)
+
+
+_POOL = _SharedPool()
+
+
 def _replicate_cells(
     cells: list[tuple[int, SimParams]], replications: int, base_seed: int, jobs: int
 ) -> Iterator[np.ndarray]:
@@ -171,20 +222,24 @@ def _replicate_cells(
     policy kind) form a group, wherever they sit in the list. A group's
     replications are laid end to end in (cell, replication) order and cut
     into contiguous lockstep blocks, one per worker, or more when a block
-    would exceed BLOCK_SLOTS; a block can span cells. At most one process
-    pool is started, with at most one worker per CPU and per replication,
-    and it runs every block. Results are placed by (cell, replication), so
-    the output is identical for any job count.
+    would exceed BLOCK_SLOTS or MAX_ROW_ROUNDS; a block can span cells. With
+    more than one worker (at most one per CPU and per replication) the
+    blocks run on the process pool that every parallel call shares; it is
+    started on the first such call and kept. Blocks not yet started are
+    cancelled when the caller stops reading, and a pool found broken is
+    dropped, so the next call starts a fresh one. Results are placed by
+    (cell, replication), so the output is identical for any job count.
     """
     workers = max(1, min(jobs, os.cpu_count() or 1, replications * len(cells)))
     groups: dict[tuple, list] = {}
     for position, (cell_index, params) in enumerate(cells):
-        _check_size(params)
+        _check_size(params, replications)
         groups.setdefault(block_key(params), []).append((position, cell_index, params))
     tasks = []
-    for (num_voters, _, _), members in groups.items():
+    for (num_voters, num_items, _), members in groups.items():
         total = replications * len(members)
-        per_block = max(1, min(-(-total // workers), BLOCK_SLOTS // num_voters))
+        per_block = max(1, min(-(-total // workers), BLOCK_SLOTS // num_voters,
+                               MAX_ROW_ROUNDS // max(num_items, 1)))
         for start in range(0, total, per_block):
             stop = min(start + per_block, total)
             segments = []
@@ -197,8 +252,17 @@ def _replicate_cells(
     if workers == 1:
         yield from _by_cell(len(cells), replications, tasks, map(_block_task, tasks))
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from _by_cell(len(cells), replications, tasks, pool.map(_block_task, tasks))
+    futures = []
+    try:
+        futures = _POOL.submit(workers, tasks)
+        yield from _by_cell(len(cells), replications, tasks,
+                            (future.result() for future in futures))
+    except BrokenProcessPool:
+        _POOL.close()
+        raise
+    finally:
+        for future in futures:
+            future.cancel()
 
 
 def _by_cell(num_cells, replications, tasks, blocks) -> Iterator[np.ndarray]:
@@ -228,7 +292,8 @@ def replicate(
     """Run independent replications; (replications, rounds, metrics) array.
 
     Replication r is seeded with ``derive_seed(base_seed, cell_index, r)``.
-    Identical output for any job count.
+    With ``jobs`` > 1 the replications run on the shared process pool (see
+    ``_replicate_cells``). Identical output for any job count.
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
@@ -328,20 +393,24 @@ def _nan_percentiles(samples: np.ndarray, counts: np.ndarray, q) -> np.ndarray:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> AggregateStats:
     """Run every grid cell x replication and aggregate across seeds.
 
-    One process pool, when ``jobs`` > 1, runs the replications of every cell.
+    When ``jobs`` > 1, the process pool that every parallel call shares runs
+    the replications of every cell; it is started by the first such call and
+    kept for the next (see ``_replicate_cells``).
     """
     overrides = spec.cells()
     cells = [(c, replace(spec.base_params, **o)) for c, o in enumerate(overrides)]
     aggregates = []
-    runs = _replicate_cells(cells, spec.replications, spec.base_seed, jobs)
-    for samples, params in zip(runs, overrides):
-        stats, counts = aggregate_metrics(samples)
-        # Finite samples can still overflow a mean's sum or a std's squares.
-        if any(np.isinf(stat).any() for stat in stats.values()):
-            raise ConfigurationError(
-                f"sweep cell {params}: statistics across replications overflow the float range"
-            )
-        aggregates.append(CellAggregate(params=params, stats=stats, counts=counts))
+    # Closing the runs cancels their queued blocks if a cell below raises.
+    with closing(_replicate_cells(cells, spec.replications, spec.base_seed, jobs)) as runs:
+        for samples, params in zip(runs, overrides):
+            stats, counts = aggregate_metrics(samples)
+            # Finite samples can still overflow a mean's sum or a std's squares.
+            if any(np.isinf(stat).any() for stat in stats.values()):
+                raise ConfigurationError(
+                    f"sweep cell {params}: statistics across replications overflow "
+                    "the float range"
+                )
+            aggregates.append(CellAggregate(params=params, stats=stats, counts=counts))
     return AggregateStats(replications=spec.replications, cells=tuple(aggregates))
 
 

@@ -11,7 +11,13 @@ import pytest
 
 import tcrlab
 from tcrlab.cli import main
-from tcrlab.harness import MAX_ROUNDS, MAX_VOTERS, aggregate_metrics, replicate
+from tcrlab.harness import (
+    MAX_ROUNDS,
+    MAX_ROW_ROUNDS,
+    MAX_VOTERS,
+    aggregate_metrics,
+    replicate,
+)
 from tcrlab.metrics import METRIC_NAMES
 from tcrlab.params import AnalysisSigmaStake, ProtocolStake, SimParams
 from tcrlab.serialize import TRACE_COLUMNS
@@ -104,8 +110,9 @@ def check_not_a_config_key(tmp_path, capsys, key, value):
         ('{"grid": {"inflation_rate": [NaN]}, "replications": 1}', ["sweep", "{config}"]),
     ],
 )
-def test_non_finite_input_exits_2_with_one_line(tmp_path, config, argv):
-    run_bad_input(tmp_path, config, argv, "must be finite")
+@pytest.mark.filterwarnings("error")
+def test_non_finite_input_exits_2_with_one_line(tmp_path, capsys, config, argv):
+    run_bad_input(tmp_path, capsys, config, argv, "must be finite")
 
 
 @pytest.mark.parametrize(
@@ -147,8 +154,9 @@ def test_non_finite_input_exits_2_with_one_line(tmp_path, config, argv):
          ["plot", "{config}", "--metric", "value"], "cfg.json: "),
     ],
 )
-def test_bad_input_exits_2_with_one_line(tmp_path, config, argv, message):
-    run_bad_input(tmp_path, config, argv, message)
+@pytest.mark.filterwarnings("error")
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, config, argv, message):
+    run_bad_input(tmp_path, capsys, config, argv, message)
 
 
 @pytest.mark.parametrize(
@@ -197,6 +205,26 @@ def test_too_many_rounds_exits_2_before_allocating(tmp_path, capsys, config, arg
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ({"grid": {"p_informed": [0.5]}, "replications": 100000,
+          "sim_params": {"num_voters": 1, "num_items": 1000000}}, ["sweep", "{config}"]),
+        ({"grid": {"p_informed": [0.1, 0.9]}, "replications": MAX_ROW_ROUNDS // 64 + 1,
+          "sim_params": {"num_voters": 1, "num_items": 64}}, ["sweep", "{config}", "--jobs", "2"]),
+    ],
+)
+def test_too_many_samples_exits_2_before_allocating(tmp_path, capsys, config, argv):
+    """A cell's replications x rounds is bounded even when each axis is within its own."""
+    cfg = write_json(tmp_path / "cfg.json", config)
+    argv = [cfg if a == "{config}" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: replications x num_items must be <= ")
+    assert str(MAX_ROW_ROUNDS) in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["validate", "--k", "x"], "argument --k: invalid int value: 'x'"),
     ([], "the following arguments are required: command"),
@@ -211,23 +239,37 @@ def test_usage_error_prints_one_line(capsys, argv, message):
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}"), err
 
 
-def run_bad_input(tmp_path, config, argv, message):
-    """Run the CLI in a subprocess: exit 2, one stderr line naming the fault, no output."""
+def write_config(tmp_path, config, argv):
+    """Write ``config`` (text or bytes) to cfg.json; argv with "{config}" replaced."""
     cfg = tmp_path / "cfg.json"
     if isinstance(config, bytes):
         cfg.write_bytes(config)
     elif config is not None:
         cfg.write_text(config)
-    argv = [str(cfg) if a == "{config}" else a for a in argv]
+    return [str(cfg) if a == "{config}" else a for a in argv]
+
+
+def run_bad_input(tmp_path, capsys, config, argv, message):
+    """Run the CLI in-process: exit 2, one stderr line naming the fault, no output."""
+    argv = write_config(tmp_path, config, argv)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_exits_2_with_one_line(tmp_path):
+    """``python -m tcrlab.cli`` passes main's exit code and its one stderr line on."""
+    argv = write_config(tmp_path, '{"num_voters": 10.5}', ["simulate", "{config}"])
     env = {**os.environ, "PYTHONPATH": str(Path(tcrlab.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-m", "tcrlab.cli", *argv, "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 2
-    assert len(done.stderr.splitlines()) == 1, done.stderr
-    assert done.stderr.startswith("error: ") and message in done.stderr
-    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: num_voters must be an integer, got 10.5\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,8 @@
+import os
+import threading
 import warnings
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +29,43 @@ IDX = {name: i for i, name in enumerate(METRIC_NAMES)}
 
 def metrics(trace):
     return np.array([row for _, row in trace])
+
+
+@pytest.fixture(autouse=True)
+def no_cached_pool():
+    """Each test starts and ends without a shared pool, so no fake pool leaks."""
+    harness._POOL.close()
+    yield
+    harness._POOL.close()
+
+
+@pytest.fixture()
+def pool_events(monkeypatch):
+    """Replace the process pool with one that runs each task in this process
+    as it is submitted; returns the ("start" | "shutdown", workers) events."""
+    events = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+            events.append(("start", max_workers))
+
+        def submit(self, fn, task):
+            future = Future()
+            future.set_result(fn(task))
+            return future
+
+        def shutdown(self, wait=True):
+            assert wait
+            events.append(("shutdown", self.workers))
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    return events
+
+
+def starts(events):
+    return [workers for event, workers in events if event == "start"]
 
 
 class TestRunSimulation:
@@ -87,67 +128,35 @@ class TestReplicate:
         with pytest.raises(ConfigurationError):
             replicate(SimParams(), 0, base_seed=0)
 
-    def test_pool_capped_by_cpus_and_replications(self, monkeypatch):
-        started = []
-
-        class RecordingPool:
-            """Runs tasks in this process and records the pool size asked for."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    def test_pool_capped_by_cpus_and_replications(self, pool_events, monkeypatch):
         params = SimParams(num_items=2, num_voters=5)
         serial = replicate(params, 8, base_seed=0, jobs=1)
         parallel = replicate(params, 8, base_seed=0, jobs=10**6)
         assert np.array_equal(parallel, serial, equal_nan=True)
         replicate(params, 3, base_seed=0, jobs=10**6)
         replicate(params, 8, base_seed=0, jobs=2)
+        started = starts(pool_events)
         assert started == [4, 3, 2]
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         replicate(params, 8, base_seed=0, jobs=8)
-        assert started == [4, 3, 2]  # CPU count unknown: runs serially
+        assert starts(pool_events) == [4, 3, 2]  # CPU count unknown: runs serially
 
-    def test_one_pool_per_sweep(self, monkeypatch):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                tasks = list(tasks)
-                # the four cells share a block key, so their 24 rows are cut
-                # into one contiguous block per worker
-                assert [[(c, start, stop) for _, c, _, start, stop in segments]
-                        for _, segments in tasks] == [[(0, 0, 6), (1, 0, 6)],
-                                                      [(2, 0, 6), (3, 0, 6)]]
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    def test_one_pool_per_sweep(self, pool_events, monkeypatch):
+        submitted = []
+        block_task = harness._block_task
+        monkeypatch.setattr(harness, "_block_task",
+                            lambda task: submitted.append(task) or block_task(task))
         spec = SweepSpec(
             grid=(("p_informed", (0.1, 0.9)), ("inflation_rate", (0.0, 0.05))),
             replications=6, base_seed=2, base_params=SimParams(num_items=5, num_voters=9),
         )
         agg = run_sweep(spec, jobs=2)
+        started = starts(pool_events)
         assert started == [2]
+        # the four cells share a block key, so their 24 rows are cut into one
+        # contiguous block per worker
+        assert [[(c, start, stop) for _, c, _, start, stop in segments]
+                for _, segments in submitted] == [[(0, 0, 6), (1, 0, 6)], [(2, 0, 6), (3, 0, 6)]]
         serial = run_sweep(spec, jobs=1)
         for a, b in zip(agg.cells, serial.cells):
             for name in a.stats:
@@ -165,6 +174,20 @@ class TestReplicate:
         assert blocks == [4, 4, 3]
         assert np.array_equal(whole, split, equal_nan=True)
 
+    def test_blocks_capped_by_row_rounds(self, monkeypatch):
+        spec = SweepSpec(grid=(("p_informed", (0.1, 0.9)),), replications=3, base_seed=5,
+                         base_params=SimParams(num_items=20, num_voters=7))
+        whole = sweep_samples(spec, jobs=1)
+        monkeypatch.setattr(harness, "MAX_ROW_ROUNDS", 80)  # 4 replications per block
+        blocks = []
+        run_block = harness.run_block
+        monkeypatch.setattr(harness, "run_block",
+                            lambda p, seeds: blocks.append(len(seeds)) or run_block(p, seeds))
+        split = sweep_samples(spec, jobs=1)
+        assert blocks == [4, 2]
+        for a, b in zip(whole, split):
+            assert a.tobytes() == b.tobytes()
+
     def test_invariant_violation_names_cell_replication_and_seed(self, monkeypatch):
         run_round = harness.run_round
 
@@ -180,6 +203,89 @@ class TestReplicate:
         assert str(exc.value) == (
             f"cell 1, replication 2: settlement zero-sum at round 3 (seed {seed}): nan != nan"
         )
+
+
+
+class TestSharedPool:
+    SPEC = SweepSpec(grid=(("p_informed", (0.1, 0.9)),), replications=4, base_seed=3,
+                     base_params=SimParams(num_items=5, num_voters=9))
+
+    def test_calls_with_the_same_worker_count_share_one_pool(self, pool_events):
+        first = run_sweep(self.SPEC, jobs=2)
+        second = run_sweep(self.SPEC, jobs=2)
+        replicate(SimParams(num_items=5, num_voters=9), 4, base_seed=3, jobs=2)
+        assert pool_events == [("start", 2)]
+        for a, b in zip(first.cells, second.cells):
+            assert a.stats["mean"].tobytes() == b.stats["mean"].tobytes()
+
+    def test_another_worker_count_shuts_the_old_pool_down_first(self, pool_events):
+        run_sweep(self.SPEC, jobs=2)
+        run_sweep(self.SPEC, jobs=3)
+        run_sweep(self.SPEC, jobs=1)  # serial: the pool stays
+        run_sweep(self.SPEC, jobs=3)
+        assert pool_events == [("start", 2), ("shutdown", 2), ("start", 3)]
+
+    def test_broken_pool_is_replaced_on_the_next_call(self, monkeypatch):
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_block_task", exit_worker)
+            with pytest.raises(BrokenProcessPool):
+                run_sweep(self.SPEC, jobs=2)
+        parallel = sweep_samples(self.SPEC, jobs=2)
+        assert started == [2, 2]
+        for got, expected in zip(parallel, sweep_samples(self.SPEC, jobs=1)):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_abandoned_sweep_cancels_its_queued_blocks(self, monkeypatch):
+        futures, release = [], threading.Event()
+
+        class OneThreadPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=1)
+
+            def submit(self, fn, task):
+                futures.append(super().submit(fn, task))
+                return futures[-1]
+
+        block_task = harness._block_task
+
+        def later_cells_wait(task):
+            if task[1][0][1] > 0:
+                release.wait(timeout=60)
+            return block_task(task)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", OneThreadPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_block_task", later_cells_wait)
+        monkeypatch.setattr(harness, "BLOCK_SLOTS", 2)  # one block per cell
+        # The first cell's statistics overflow, so the sweep stops after it.
+        spec = SweepSpec(grid=(("initial_tokens", (1e307, 100.0, 100.0, 100.0)),),
+                         replications=2, base_seed=1,
+                         base_params=SimParams(num_voters=1, num_items=1, initial_stake=1.0))
+        try:
+            # The held exception keeps the sweep's frames, and so its blocks, alive.
+            with pytest.raises(ConfigurationError, match="overflow the float range") as exc:
+                run_sweep(spec, jobs=2)
+            assert exc.value.__traceback__ is not None
+            assert len(futures) == 4
+            assert futures[0].done() and not futures[0].cancelled()
+            # the second block may already be running; the rest had not started
+            assert futures[2].cancelled() and futures[3].cancelled()
+        finally:
+            release.set()
+
+
+def exit_worker(task):
+    """A block task that kills the worker process running it."""
+    os._exit(3)
 
 
 # Cells whose every replication must come out of a block exactly as it comes
