@@ -13,7 +13,7 @@ import os
 import threading
 import warnings
 from collections.abc import Iterator, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
@@ -190,14 +190,18 @@ class _SharedPool:
         self._executor: ProcessPoolExecutor | None = None
         self._workers = 0
 
-    def submit(self, workers: int, tasks: list) -> list[Future]:
-        """One ``_block_task`` future per task, in order, on ``workers`` processes."""
+    def map(self, workers: int, tasks: list) -> Iterator[np.ndarray]:
+        """``_block_task`` of each task, in order, on ``workers`` processes.
+
+        As ``Executor.map``: each result is released once read, and blocks
+        not yet started are cancelled when the iterator is closed or dropped.
+        """
         with self._lock:
             if self._executor is None or self._workers != workers:
                 self._shutdown()
                 self._executor = ProcessPoolExecutor(max_workers=workers)
                 self._workers = workers
-            return [self._executor.submit(_block_task, task) for task in tasks]
+            return self._executor.map(_block_task, tasks)
 
     def close(self) -> None:
         """Shut the pool down once its submitted work is done; the next call starts another."""
@@ -252,17 +256,11 @@ def _replicate_cells(
     if workers == 1:
         yield from _by_cell(len(cells), replications, tasks, map(_block_task, tasks))
         return
-    futures = []
     try:
-        futures = _POOL.submit(workers, tasks)
-        yield from _by_cell(len(cells), replications, tasks,
-                            (future.result() for future in futures))
+        yield from _by_cell(len(cells), replications, tasks, _POOL.map(workers, tasks))
     except BrokenProcessPool:
         _POOL.close()
         raise
-    finally:
-        for future in futures:
-            future.cancel()
 
 
 def _by_cell(num_cells, replications, tasks, blocks) -> Iterator[np.ndarray]:

@@ -1,7 +1,8 @@
 import os
 import threading
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+import weakref
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -42,7 +43,7 @@ def no_cached_pool():
 @pytest.fixture()
 def pool_events(monkeypatch):
     """Replace the process pool with one that runs each task in this process
-    as it is submitted; returns the ("start" | "shutdown", workers) events."""
+    as its result is read; returns the ("start" | "shutdown", workers) events."""
     events = []
 
     class RecordingPool:
@@ -50,10 +51,8 @@ def pool_events(monkeypatch):
             self.workers = max_workers
             events.append(("start", max_workers))
 
-        def submit(self, fn, task):
-            future = Future()
-            future.set_result(fn(task))
-            return future
+        def map(self, fn, tasks):
+            return map(fn, tasks)
 
         def shutdown(self, wait=True):
             assert wait
@@ -281,6 +280,32 @@ class TestSharedPool:
             assert futures[2].cancelled() and futures[3].cancelled()
         finally:
             release.set()
+
+
+    def test_a_read_block_is_released(self, monkeypatch):
+        blocks = []
+        block_task = harness._block_task
+
+        def recorded(task):
+            block = block_task(task)
+            blocks.append(weakref.ref(block))
+            return block
+
+        # One thread runs the blocks in order, so a block's work item is gone
+        # before the next block's result can be read.
+        monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                            lambda max_workers: ThreadPoolExecutor(max_workers=1))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_block_task", recorded)
+        monkeypatch.setattr(harness, "BLOCK_SLOTS", 2)  # one block per cell
+        params = SimParams(num_voters=1, num_items=3)
+        runs = harness._replicate_cells([(c, params) for c in range(3)], 2, 1, jobs=2)
+        first = next(runs)
+        next(runs)
+        # the first cell's block is no longer held once the second cell is out
+        assert blocks[0]() is None
+        assert first.shape == (2, 3, len(METRIC_NAMES))
+        runs.close()
 
 
 def exit_worker(task):
