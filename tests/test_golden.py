@@ -21,6 +21,14 @@ SWEEP_2CELL = {
     "base_seed": 5,
     "sim_params": {"num_items": 20, "num_voters": 30},
 }
+# Classes of 134-164 voters, so each class sum runs numpy's pairwise
+# summation past its 128-element base case; full-precision output.
+SWEEP_WIDE = {
+    "grid": {"stake_policy": [{"kind": "protocol"}, {"kind": "analysis_sigma", "sigma": 0.05}]},
+    "replications": 3,
+    "base_seed": 11,
+    "sim_params": {"num_voters": 600, "num_items": 10},
+}
 
 CASES = [
     ("trace_seed42.csv", None, ["simulate", "--seed", "42"], "trace.csv"),
@@ -34,6 +42,7 @@ CASES = [
     ),
     ("aggregate_2cell.csv", SWEEP_2CELL, ["sweep", "{config}"], "aggregate.csv"),
     ("aggregate_2cell.json", SWEEP_2CELL, ["sweep", "{config}"], "aggregate.json"),
+    ("aggregate_wide.json", SWEEP_WIDE, ["sweep", "{config}"], "aggregate.json"),
 ]
 
 
