@@ -90,20 +90,28 @@ def _advance(state: TcrState, rngs: list[RngStream], on_round=None) -> np.ndarra
 
     ``on_round``, if given, is called with each round's ``Round``. What the
     metrics need is observed after each round; the rows are computed once,
-    at the end.
+    at the end. Classes never change during a run, so each round's balances
+    are copied into a stack of as many rounds as fit in HISTORY_SLOTS voter
+    slots (at least one), and the class tokens of every round in it are
+    summed in one pass when it is full or the run ends.
     """
     rows, rounds = len(rngs), state.num_items
     v_correct = np.empty((rows, rounds), dtype=np.int64)
     t_total = np.empty((rows, rounds))
     tokens = np.empty((rows, rounds, len(CLASS_ORDER)))
+    depth = max(1, min(rounds, HISTORY_SLOTS // state.balances.size))
+    stack = np.empty((depth, *state.balances.shape))
     with np.errstate(over="ignore", invalid="ignore"):  # run_round checks every row
-        for k in range(rounds):
-            rnd = run_round(state, rngs)
-            if on_round is not None:
-                on_round(rnd)
-            v_correct[:, k] = state.v_correct
-            t_total[:, k] = rnd.total
-            tokens[:, k] = state.class_tokens()
+        for first in range(0, rounds, depth):
+            last = min(first + depth, rounds)
+            for k in range(first, last):
+                rnd = run_round(state, rngs)
+                if on_round is not None:
+                    on_round(rnd)
+                v_correct[:, k] = state.v_correct
+                t_total[:, k] = rnd.total
+                stack[k - first] = state.balances
+            tokens[:, first:last] = state.class_tokens(stack[:last - first]).swapaxes(0, 1)
     return metric_rows(state.clamp_value[:, None], state.class_sizes[:, None], v_correct,
                        np.arange(1, rounds + 1), t_total, tokens)
 
@@ -128,6 +136,9 @@ def derive_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
 # Voter slots (replications x voters) per lockstep block; larger groups of
 # replications are split into more blocks, which bounds a block's memory.
 BLOCK_SLOTS = 2**18
+# Voter slots (rounds x replications x voters) of the balances a block keeps
+# between class-token sums: 512 KB of float64.
+HISTORY_SLOTS = 2**16
 # Voters of one replication. A block never splits a replication, so this
 # bound keeps every block within BLOCK_SLOTS.
 MAX_VOTERS = BLOCK_SLOTS
@@ -217,6 +228,14 @@ class _SharedPool:
 _POOL = _SharedPool()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one
+    (a ``taskset`` or cgroup cpuset can make it smaller than ``os.cpu_count()``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replicate_cells(
     cells: list[tuple[int, SimParams]], replications: int, base_seed: int, jobs: int
 ) -> Iterator[np.ndarray]:
@@ -227,14 +246,15 @@ def _replicate_cells(
     replications are laid end to end in (cell, replication) order and cut
     into contiguous lockstep blocks, one per worker, or more when a block
     would exceed BLOCK_SLOTS or MAX_ROW_ROUNDS; a block can span cells. With
-    more than one worker (at most one per CPU and per replication) the
-    blocks run on the process pool that every parallel call shares; it is
-    started on the first such call and kept. Blocks not yet started are
-    cancelled when the caller stops reading, and a pool found broken is
-    dropped, so the next call starts a fresh one. Results are placed by
-    (cell, replication), so the output is identical for any job count.
+    more than one worker (at most one per CPU this process may use, and one
+    per replication) the blocks run on the process pool that every parallel
+    call shares; it is started on the first such call and kept. Blocks not
+    yet started are cancelled when the caller stops reading, and a pool
+    found broken is dropped, so the next call starts a fresh one. Results
+    are placed by (cell, replication), so the output is identical for any
+    job count.
     """
-    workers = max(1, min(jobs, os.cpu_count() or 1, replications * len(cells)))
+    workers = max(1, min(jobs, _usable_cpus(), replications * len(cells)))
     groups: dict[tuple, list] = {}
     for position, (cell_index, params) in enumerate(cells):
         _check_size(params, replications)

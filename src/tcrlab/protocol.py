@@ -207,9 +207,16 @@ class TcrState:
         """(R,) token supply of each replication."""
         return self.balances.sum(axis=1)
 
-    def class_tokens(self) -> np.ndarray:
-        """(R, 4) tokens held by each class, in ``VoterClass`` order."""
-        return _grouped_sums(self.balances, self._class_groups, self.class_sizes.shape)
+    def class_tokens(self, balances: np.ndarray | None = None) -> np.ndarray:
+        """(R, 4) tokens held by each class, in ``VoterClass`` order.
+
+        ``balances`` defaults to the current ones; a (S, R, N) stack of
+        balances, such as S rounds' worth, gives (S, R, 4) in one pass, each
+        entry bit-equal to summing that (R, N) slice alone.
+        """
+        if balances is None:
+            balances = self.balances
+        return _grouped_sums(balances, self._class_groups, self.class_sizes.shape)
 
     @cached_property
     def _class_groups(self):
@@ -249,16 +256,21 @@ def _sum_groups(masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 def _grouped_sums(balances: np.ndarray, groups, shape) -> np.ndarray:
     """Per-(replication, class) balance sums over ``_sum_groups`` groups.
 
-    Each sum adds the same elements in the same order as
-    ``balances[r][class_mask].sum()``: a masked ``np.where`` or
-    ``np.add.reduceat`` would group them differently and change the last
-    digits.
+    ``balances`` is (R, N), or any stack (..., R, N) of them; the result has
+    shape ``shape``, or (...) + ``shape``. Each sum adds the same elements in the
+    same order as ``balances[..., r, :][class_mask].sum()``: a masked
+    ``np.where`` or ``np.add.reduceat`` would group them differently and
+    change the last digits. So does a gather that is not C-contiguous:
+    ``flat[..., idx]`` puts the stack axis innermost in memory, and numpy
+    then adds each class's elements in another order, so the gather is
+    ``np.take``, whose (..., G, k) result is contiguous in k.
     """
-    flat = balances.ravel()
-    out = np.empty(math.prod(shape))
+    lead = balances.shape[:-2]
+    flat = balances.reshape(*lead, -1)
+    out = np.empty((*lead, math.prod(shape)))
     for positions, idx in groups:
-        out[positions] = np.add.reduce(flat[idx], axis=1)
-    return out.reshape(shape)
+        out[..., positions] = np.add.reduce(np.take(flat, idx, axis=-1), axis=-1)
+    return out.reshape(*lead, *shape)
 
 
 def init_registry(params: SimParams | Sequence[SimParams], rosters) -> TcrState:
@@ -346,12 +358,13 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     item_good, intends = below[:, 0], below[:, 1:]
     eligible = intends & (bal >= (stake * (1.0 - REL_TOL))[:, None])
     n_eligible = np.add.reduce(eligible, axis=1)
-    # Each row's vote draws, end to end, then placed at its eligible voters.
+    # Each row's vote draws, end to end, then placed at its eligible voters'
+    # flat indices, in row-major (voter-id) order.
     votes, start = state._votes, 0
     for rng, stop in zip(rngs, n_eligible.cumsum().tolist()):
         rng.uniform(stop - start, votes[start:stop])
         start = stop
-    state._vote_grid[eligible] = votes[:start]
+    state._vote_grid.ravel()[eligible.ravel().nonzero()[0]] = votes[:start]
     add = eligible & ((state._vote_grid < state.p_correct) == item_good[:, None])
     n_add = np.add.reduce(add, axis=1)
     n_reject = n_eligible - n_add

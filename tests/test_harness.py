@@ -59,7 +59,7 @@ def pool_events(monkeypatch):
             events.append(("shutdown", self.workers))
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
     return events
 
 
@@ -136,9 +136,18 @@ class TestReplicate:
         replicate(params, 8, base_seed=0, jobs=2)
         started = starts(pool_events)
         assert started == [4, 3, 2]
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         replicate(params, 8, base_seed=0, jobs=8)
-        assert starts(pool_events) == [4, 3, 2]  # CPU count unknown: runs serially
+        assert starts(pool_events) == [4, 3, 2]  # one usable CPU: runs serially
+
+    def test_usable_cpus_follow_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert harness._usable_cpus() == 1
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        assert harness._usable_cpus() == 4
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._usable_cpus() == 1  # CPU count unknown
 
     def test_one_pool_per_sweep(self, pool_events, monkeypatch):
         submitted = []
@@ -233,7 +242,7 @@ class TestSharedPool:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         with monkeypatch.context() as patch:
             patch.setattr(harness, "_block_task", exit_worker)
             with pytest.raises(BrokenProcessPool):
@@ -262,7 +271,7 @@ class TestSharedPool:
             return block_task(task)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", OneThreadPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "_block_task", later_cells_wait)
         monkeypatch.setattr(harness, "BLOCK_SLOTS", 2)  # one block per cell
         # The first cell's statistics overflow, so the sweep stops after it.
@@ -295,7 +304,7 @@ class TestSharedPool:
         # before the next block's result can be read.
         monkeypatch.setattr(harness, "ProcessPoolExecutor",
                             lambda max_workers: ThreadPoolExecutor(max_workers=1))
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "_block_task", recorded)
         monkeypatch.setattr(harness, "BLOCK_SLOTS", 2)  # one block per cell
         params = SimParams(num_voters=1, num_items=3)
@@ -341,6 +350,19 @@ class TestBatchingInvariance:
             got = replicate(params, replications, base_seed=9, cell_index=3, jobs=jobs)
             assert got.shape == expected.shape
             assert np.array_equal(got, expected, equal_nan=True), jobs
+
+    @pytest.mark.parametrize("slots", [1, 7 * 3 * 40, 50 * 3 * 40])
+    def test_chunked_class_sums_match_an_unchunked_run(self, monkeypatch, slots):
+        """Stacks of 1 round, of 7 rounds for the block and 21 for the
+        single run (each with a part-filled last stack), and of every round
+        give the same bytes."""
+        params = SimParams(num_voters=40, num_items=50, stake_policy=AnalysisSigmaStake(0.1))
+        monkeypatch.setattr(harness, "HISTORY_SLOTS", 2**40)
+        expected = replicate(params, 3, base_seed=4)
+        trace = metrics(run_simulation(RunConfig(params, base_seed=8)))
+        monkeypatch.setattr(harness, "HISTORY_SLOTS", slots)
+        assert replicate(params, 3, base_seed=4).tobytes() == expected.tobytes()
+        assert metrics(run_simulation(RunConfig(params, base_seed=8))).tobytes() == trace.tobytes()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("grid", [

@@ -67,6 +67,34 @@ class TestInitRegistry:
             init_registry(params, [[(True, True)] * 4])
 
 
+class TestClassTokens:
+    # Class sizes per row, in VoterClass order (IE, ID, UE, UD), of a
+    # 400-voter block: empty, 1-7, 8-128 and above-128 classes, different
+    # in every row.
+    SIZES = [(0, 3, 130, 267), (1, 7, 8, 384), (128, 129, 0, 143), (5, 64, 200, 131)]
+
+    def test_stacked_round_by_round_and_direct_sums_agree_bit_for_bit(self):
+        gen = np.random.default_rng(0)
+        kinds = [(True, True), (False, True), (True, False), (False, False)]  # (engaged, informed)
+        rosters = []
+        for sizes in self.SIZES:
+            pairs = [kind for kind, k in zip(kinds, sizes) for _ in range(k)]
+            rosters.append([pairs[i] for i in gen.permutation(len(pairs))])
+        state = init_registry(SimParams(num_voters=400), rosters)
+        assert state.class_sizes.tolist() == [list(sizes) for sizes in self.SIZES]
+        # Six rounds of balances spread over eight orders of magnitude.
+        shape = (6, *state.balances.shape)
+        history = gen.random(shape) * 10.0 ** gen.integers(-3, 6, shape)
+        stacked = state.class_tokens(history)
+        assert stacked.shape == (6, len(self.SIZES), 4)
+        for k, balances in enumerate(history):
+            state.balances[:] = balances
+            direct = np.array([[balances[r][state._class_masks[r, c]].sum() for c in range(4)]
+                               for r in range(len(self.SIZES))])
+            assert state.class_tokens().tobytes() == direct.tobytes(), k
+            assert stacked[k].tobytes() == direct.tobytes(), k
+
+
 class TestRequiredStake:
     def test_protocol_round_zero_identity(self):
         state = make_state(n=100, initial_tokens=100.0, initial_stake=5.0)
