@@ -1,6 +1,7 @@
 """Command-line entry point: simulate, sweep, validate, plot.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 I/O failure.
+Exit codes: 0 success, 2 configuration/validation error, 3 I/O or
+worker-process failure (a pool worker of ``sweep --jobs N`` died).
 `validate` additionally exits 1 when the simulator-vs-closed-form errors
 exceed the tolerance.
 """
@@ -105,6 +106,21 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except _worker_failures() as exc:
+        print(f"error: worker process failed: {' '.join(str(exc).splitlines())}",
+              file=sys.stderr)
+        return 3
+
+
+def _worker_failures() -> tuple[type[Exception], ...]:
+    """``BrokenProcessPool`` once a parallel run has loaded the pool machinery.
+
+    Before that no run can have raised it, so nothing is caught and nothing is
+    imported: serial commands never load the pool machinery. An ``except``
+    clause evaluates this only when an exception reaches it.
+    """
+    process = sys.modules.get("concurrent.futures.process")
+    return () if process is None else (process.BrokenProcessPool,)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -13,10 +13,9 @@ import os
 import threading
 import warnings
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +38,9 @@ from .protocol import (
     run_round,
 )
 from .voters import RngStream, sample_roster
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -184,16 +186,29 @@ def _block_task(task: tuple[int, tuple[Segment, ...]]) -> np.ndarray:
         raise InvariantViolation(f"cell {cell_index}, replication {rep}: {exc}") from exc
 
 
+def _start_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool of ``workers`` processes.
+
+    The pool machinery (``concurrent.futures.process``, which loads
+    ``multiprocessing``, ``socket``, ``subprocess`` and ``logging``) is
+    imported here, on the first parallel call, so serial runs never load it.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 class _SharedPool:
     """The process pool that parallel calls share.
 
-    The first parallel call starts it and later calls with the same worker
-    count reuse it, so repeated sweeps pay pool start-up once. A call that
-    needs another worker count first shuts the old pool down and waits for
-    it, so at most one pool is alive and no process forks while an old
-    pool's threads still run. Workers start with the pool, so they do not
-    see later changes to this process's module state. The pool shuts down
-    at interpreter exit.
+    The first parallel call loads the pool machinery and starts the pool
+    (``_start_pool``); serial calls never touch it. Later calls with the same
+    worker count reuse the pool, so repeated sweeps pay pool start-up once.
+    A call that needs another worker count first shuts the old pool down and
+    waits for it, so at most one pool is alive and no process forks while an
+    old pool's threads still run. Workers start with the pool, so they do
+    not see later changes to this process's module state. The pool shuts
+    down at interpreter exit.
     """
 
     def __init__(self) -> None:
@@ -210,7 +225,7 @@ class _SharedPool:
         with self._lock:
             if self._executor is None or self._workers != workers:
                 self._shutdown()
-                self._executor = ProcessPoolExecutor(max_workers=workers)
+                self._executor = _start_pool(workers)
                 self._workers = workers
             return self._executor.map(_block_task, tasks)
 
@@ -248,11 +263,12 @@ def _replicate_cells(
     would exceed BLOCK_SLOTS or MAX_ROW_ROUNDS; a block can span cells. With
     more than one worker (at most one per CPU this process may use, and one
     per replication) the blocks run on the process pool that every parallel
-    call shares; it is started on the first such call and kept. Blocks not
-    yet started are cancelled when the caller stops reading, and a pool
-    found broken is dropped, so the next call starts a fresh one. Results
-    are placed by (cell, replication), so the output is identical for any
-    job count.
+    call shares; the first such call loads the pool machinery and starts the
+    pool, which is kept, and a serial call loads neither. Blocks not yet
+    started are cancelled when the caller stops reading, and a pool found
+    broken is dropped, so the next call starts a fresh one; its
+    ``BrokenProcessPool`` reaches the caller. Results are placed by (cell,
+    replication), so the output is identical for any job count.
     """
     workers = max(1, min(jobs, _usable_cpus(), replications * len(cells)))
     groups: dict[tuple, list] = {}
@@ -276,6 +292,8 @@ def _replicate_cells(
     if workers == 1:
         yield from _by_cell(len(cells), replications, tasks, map(_block_task, tasks))
         return
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         yield from _by_cell(len(cells), replications, tasks, _POOL.map(workers, tasks))
     except BrokenProcessPool:

@@ -1,15 +1,20 @@
+import json
 import os
+import subprocess
+import sys
 import threading
 import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tcrlab import harness
+import tcrlab
+from tcrlab import cli, harness
 from tcrlab.analysis import AnalysisParams
 from tcrlab.harness import (
     METRIC_NAMES,
@@ -58,7 +63,7 @@ def pool_events(monkeypatch):
             assert wait
             events.append(("shutdown", self.workers))
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_start_pool", RecordingPool)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
     return events
 
@@ -241,7 +246,7 @@ class TestSharedPool:
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_start_pool", RecordingPool)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         with monkeypatch.context() as patch:
             patch.setattr(harness, "_block_task", exit_worker)
@@ -251,6 +256,28 @@ class TestSharedPool:
         assert started == [2, 2]
         for got, expected in zip(parallel, sweep_samples(self.SPEC, jobs=1)):
             assert got.tobytes() == expected.tobytes()
+
+    def test_dead_worker_ends_the_cli_with_exit_3_and_one_line(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_block_task", exit_worker)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"grid": {"p_informed": [0.1, 0.9]}, "replications": 4,
+                                    "sim_params": {"num_items": 5, "num_voters": 9}}))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(spec), "--jobs", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: worker process failed: ")
+        assert not out.exists()
+
+    def test_serial_runs_never_load_the_pool_machinery(self):
+        """A fresh interpreter: pytest's own process may already hold multiprocessing."""
+        script = Path(__file__).with_name("pool_imports.py")
+        env = {**os.environ, "PYTHONPATH": str(Path(tcrlab.__file__).parents[1])}
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_abandoned_sweep_cancels_its_queued_blocks(self, monkeypatch):
         futures, release = [], threading.Event()
@@ -270,7 +297,7 @@ class TestSharedPool:
                 release.wait(timeout=60)
             return block_task(task)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", OneThreadPool)
+        monkeypatch.setattr(harness, "_start_pool", OneThreadPool)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "_block_task", later_cells_wait)
         monkeypatch.setattr(harness, "BLOCK_SLOTS", 2)  # one block per cell
@@ -302,7 +329,7 @@ class TestSharedPool:
 
         # One thread runs the blocks in order, so a block's work item is gone
         # before the next block's result can be read.
-        monkeypatch.setattr(harness, "ProcessPoolExecutor",
+        monkeypatch.setattr(harness, "_start_pool",
                             lambda max_workers: ThreadPoolExecutor(max_workers=1))
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "_block_task", recorded)
