@@ -30,10 +30,12 @@ from .analysis import (
 from .metrics import CLASS_ORDER, METRIC_NAMES, metric_rows
 from .params import AnalysisSigmaStake, ConfigurationError, SimParams, check_fields, check_seed
 from .protocol import (
+    History,
     InvariantViolation,
     RoundRecord,
     TcrState,
     block_key,
+    check_rounds,
     init_registry,
     run_round,
 )
@@ -90,30 +92,32 @@ def run_block(params: Sequence[SimParams], seeds: list[int]) -> np.ndarray:
 def _advance(state: TcrState, rngs: list[RngStream], on_round=None) -> np.ndarray:
     """Run every round of a block; returns its (R, rounds, metrics) rows.
 
-    ``on_round``, if given, is called with each round's ``Round``. What the
-    metrics need is observed after each round; the rows are computed once,
-    at the end. Classes never change during a run, so each round's balances
-    are copied into a stack of as many rounds as fit in HISTORY_SLOTS voter
-    slots (at least one), and the class tokens of every round in it are
-    summed in one pass when it is full or the run ends.
+    ``on_round``, if given, is called with each round's ``Round``. The
+    state's history is sized to as many rounds as fit in HISTORY_SLOTS
+    voter slots (at least one). ``run_round`` records each round in it, and
+    once per history, when it is full or the run ends, every recorded round
+    is checked and what the metrics need is read from it: the supply, the
+    correct-decision counts and, in one pass, the class tokens. The rows
+    are computed once, at the end.
     """
     rows, rounds = len(rngs), state.num_items
     v_correct = np.empty((rows, rounds), dtype=np.int64)
     t_total = np.empty((rows, rounds))
     tokens = np.empty((rows, rounds, len(CLASS_ORDER)))
     depth = max(1, min(rounds, HISTORY_SLOTS // state.balances.size))
-    stack = np.empty((depth, *state.balances.shape))
-    with np.errstate(over="ignore", invalid="ignore"):  # run_round checks every row
+    history = state.history = History(depth, *state.balances.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # check_rounds checks every row
         for first in range(0, rounds, depth):
             last = min(first + depth, rounds)
-            for k in range(first, last):
+            for _ in range(first, last):
                 rnd = run_round(state, rngs)
                 if on_round is not None:
                     on_round(rnd)
-                v_correct[:, k] = state.v_correct
-                t_total[:, k] = rnd.total
-                stack[k - first] = state.balances
-            tokens[:, first:last] = state.class_tokens(stack[:last - first]).swapaxes(0, 1)
+            check_rounds(state, rngs)  # a full history is checked already
+            done = last - first
+            v_correct[:, first:last] = history.v_correct[:done].T
+            t_total[:, first:last] = history.total[:done].T
+            tokens[:, first:last] = state.class_tokens(history.balances[:done]).swapaxes(0, 1)
     return metric_rows(state.clamp_value[:, None], state.class_sizes[:, None], v_correct,
                        np.arange(1, rounds + 1), t_total, tokens)
 
@@ -139,7 +143,7 @@ def derive_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
 # replications are split into more blocks, which bounds a block's memory.
 BLOCK_SLOTS = 2**18
 # Voter slots (rounds x replications x voters) of the balances a block keeps
-# between class-token sums: 512 KB of float64.
+# between checks and class-token sums: 512 KB of float64.
 HISTORY_SLOTS = 2**16
 # Voters of one replication. A block never splits a replication, so this
 # bound keeps every block within BLOCK_SLOTS.
@@ -472,13 +476,6 @@ def validate_against_analysis(a: AnalysisParams, k_max: int) -> ValidationReport
     """
     if not 0 <= k_max <= MAX_ROUNDS:
         raise ConfigurationError(f"k_max must be in [0, {MAX_ROUNDS}], got {k_max}")
-    try:
-        total_tokens(a, k_max)  # (1 + delta)^k grows with k, so k_max is the worst case
-    except OverflowError as exc:
-        raise ConfigurationError(
-            f"the closed form overflows the float range by round {k_max}: "
-            f"(1 + delta)^k with delta {a.delta}"
-        ) from exc
     # The idealized setting: engaged voters always vote and disengaged ones
     # never; informed voters are always correct and uninformed ones never.
     params = SimParams(
@@ -494,6 +491,17 @@ def validate_against_analysis(a: AnalysisParams, k_max: int) -> ValidationReport
         stake_policy=AnalysisSigmaStake(a.sigma),
     )
     _check_size(params)
+    # (1 + delta)^k grows with k, so k_max is the worst case. A power too
+    # large raises OverflowError; a finite power times t0 gives inf instead.
+    try:
+        overflows = not np.isfinite(total_tokens(a, k_max))
+    except OverflowError:
+        overflows = True
+    if overflows:
+        raise ConfigurationError(
+            f"the closed form overflows the float range by round {k_max}: "
+            f"(1 + delta)^k with delta {a.delta}"
+        )
     # (is_engaged, is_informed), grouped by class: IE, UE, ID, UD.
     roster = (
         [(True, True)] * a.n_ie

@@ -106,7 +106,9 @@ class RoundRecord:
 class Round(NamedTuple):
     """What one round did in every replication of a block: (R,) and (R, N) arrays.
 
-    ``total`` is each replication's token supply after the round.
+    ``total`` is each replication's token supply after the round: a view of
+    the round's slot in the state's history, overwritten when a later round
+    reuses that slot.
     """
 
     round_index: int
@@ -141,6 +143,27 @@ class Round(NamedTuple):
         )
 
 
+class History:
+    """The last rounds of a block, as ``run_round`` recorded them: one slot a round.
+
+    A slot holds the round's (R, N) balances after inflation and its (R,)
+    stake, token totals before and after settlement, participant tokens
+    after settlement, supply after inflation and correct-decision flags.
+    ``size`` slots are filled and the first ``checked`` of them have been
+    checked; ``v_correct`` holds the running correct-decision count of each
+    checked slot. A full history starts over at slot 0 with the next round.
+    """
+
+    def __init__(self, depth: int, rows: int, n: int):
+        self.depth = depth
+        self.balances = np.empty((depth, rows, n))
+        (self.stake, self.pre_settle, self.post_settle, self.participant_tokens,
+         self.total) = np.empty((5, depth, rows))
+        self.correct = np.empty((depth, rows), dtype=bool)
+        self.v_correct = np.empty((depth, rows), dtype=np.int64)
+        self.size = self.checked = 0
+
+
 class TcrState:
     """Registry state of a block of R replications between rounds.
 
@@ -152,6 +175,12 @@ class TcrState:
     and the index groups that sum each class's tokens are fixed here. Every
     round yields one decision per replication, so ``v_incorrect`` is
     ``round_index`` minus ``v_correct``.
+
+    Each round is recorded in ``history``, and its checks run, and its
+    decisions reach ``v_correct``, once per history: when the history is
+    full or ``check_rounds`` is called. The history holds one round unless
+    a caller replaces it with a deeper one, so by default every round is
+    checked as it ends.
     """
 
     def __init__(self, params: Sequence[SimParams], is_engaged: np.ndarray,
@@ -180,6 +209,7 @@ class TcrState:
         self.balances[:] = initial[:, None]
         self.round_index = 0
         self.v_correct = np.zeros(rows, dtype=np.int64)
+        self.history = History(1, rows, n)
         # (R, 4, N) in VoterClass order: IE, ID, UE, UD.
         masks = np.stack([is_informed & is_engaged, is_informed & ~is_engaged,
                           ~is_informed & is_engaged, ~is_informed & ~is_engaged], axis=1)
@@ -343,15 +373,21 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     ``rngs[r]`` is row r's stream. Draws follow the contract in
     ``voters.py``: the item and one participation draw per voter in one
     call, then one vote draw per eligible voter in voter-id order.
-    Conservation, inflation bookkeeping and non-negativity are checked in
-    every row. Callers run it under ``np.errstate(over="ignore",
-    invalid="ignore")``: a row that overflows or turns NaN fails those
-    checks, which report it once.
+    The round is recorded in ``state.history``; when that fills, every
+    round in it is checked (``check_rounds``). Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")``: a row that overflows
+    or turns NaN runs on until its history is checked, which reports the
+    first failing round once.
     """
+    h = state.history
+    if h.size == h.depth:
+        h.size = h.checked = 0
+    s = h.size
     bal = state.balances
     n = state.num_voters
-    pre_settle_total = np.add.reduce(bal, axis=1)
+    pre_settle_total = np.add.reduce(bal, axis=1, out=h.pre_settle[s])
     stake = required_stake(state, pre_settle_total)
+    h.stake[s] = stake
     for rng, draws in zip(rngs, state._draw_rows):
         rng.uniform(n + 1, draws)
     below = state._draws < state.draw_cutoffs
@@ -373,29 +409,55 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     winners = eligible & (add == decision_add[:, None])
     n_win = np.where(decision_add, n_add, n_reject)
     payout = settle(state, stake, winners, eligible ^ winners, n_win, n_eligible - n_win)
-    post_settle_total = np.add.reduce(bal, axis=1)
-    participant_tokens = np.add.reduce(bal * eligible, axis=1)
+    np.add.reduce(bal, axis=1, out=h.post_settle[s])
+    np.add.reduce(bal * eligible, axis=1, out=h.participant_tokens[s])
     apply_inflation(state, eligible)
-    total = np.add.reduce(bal, axis=1)
-    expected = post_settle_total + state.inflation_rate * participant_tokens
-    # One test that implies every check below, since hypot(a, b) >= |a|, |b|
-    # and the smaller of the two totals scales both closeness checks; a
-    # balance a rounding step below zero passes, as it does below. The
-    # checks run only when it fails.
-    if not ((np.hypot(post_settle_total - pre_settle_total, total - expected)
-             / np.maximum(np.minimum(pre_settle_total, expected), 1.0)).max() <= 0.5 * REL_TOL
-            and bal.min() >= -REL_TOL):
-        _check_round(state, rngs, stake, pre_settle_total, post_settle_total, total, expected)
-
-    state.v_correct += decision_add == item_good
+    total = np.add.reduce(bal, axis=1, out=h.total[s])
+    h.balances[s] = bal
+    np.equal(decision_add, item_good, out=h.correct[s])
     state.round_index += 1
+    h.size += 1
+    if h.size == h.depth:
+        check_rounds(state, rngs)
     return Round(state.round_index - 1, item_good, stake, intends, eligible, add,
                  decision_add, payout, n_eligible, n_add, total)
 
 
-def _check_round(state, rngs, stake, pre_settle_total, post_settle_total, total, expected):
-    """Conservation, overflow, inflation bookkeeping and non-negativity, row by row."""
-    k = state.round_index
+def check_rounds(state: TcrState, rngs: Sequence[RngStream]) -> None:
+    """Check every round recorded since the last check; count their correct decisions.
+
+    Conservation, inflation bookkeeping and non-negativity hold in every
+    row of every such round, or the first round that breaks one raises, as
+    ``_check_round`` reports it. ``state.v_correct`` then counts those
+    rounds' correct decisions.
+    """
+    h = state.history
+    lo, hi = h.checked, h.size
+    if lo == hi:
+        return
+    pre, post, total = h.pre_settle[lo:hi], h.post_settle[lo:hi], h.total[lo:hi]
+    expected = post + state.inflation_rate * h.participant_tokens[lo:hi]
+    # One test per round that implies every check of _check_round, since
+    # hypot(a, b) >= |a|, |b| and the smaller of the two totals scales both
+    # closeness checks; a balance a rounding step below zero passes, as it
+    # does there. Only the rounds that fail it are checked row by row.
+    fine = ((np.hypot(post - pre, total - expected)
+             / np.maximum(np.minimum(pre, expected), 1.0)).max(axis=1) <= 0.5 * REL_TOL)
+    fine &= h.balances[lo:hi].min(axis=(1, 2)) >= -REL_TOL
+    if not fine.all():
+        first = state.round_index - (hi - lo)
+        for s in np.flatnonzero(~fine).tolist():
+            _check_round(state, rngs, first + s, h.balances[lo + s], h.stake[lo + s],
+                         pre[s], post[s], total[s], expected[s])
+    counts = np.cumsum(h.correct[lo:hi], axis=0, out=h.v_correct[lo:hi])
+    counts += state.v_correct
+    state.v_correct[:] = counts[-1]
+    h.checked = hi
+
+
+def _check_round(state, rngs, k, balances, stake, pre_settle_total, post_settle_total, total,
+                 expected):
+    """Conservation, overflow, inflation bookkeeping and non-negativity of round ``k``, row by row."""
     for r in range(len(stake)):
         where = f"round {k} (seed {rngs[r].seed})"
         _check_close(float(post_settle_total[r]), float(pre_settle_total[r]),
@@ -406,7 +468,7 @@ def _check_round(state, rngs, stake, pre_settle_total, post_settle_total, total,
                 f"{state.params[r].inflation_rate} compounds past the float range"
             )
         _check_close(float(total[r]), float(expected[r]), "inflation bookkeeping", where, r)
-        if not state.balances[r].min() >= -REL_TOL * max(1.0, float(stake[r])):
+        if not balances[r].min() >= -REL_TOL * max(1.0, float(stake[r])):
             raise InvariantViolation(f"negative balance after {where}", r)
 
 

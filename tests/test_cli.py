@@ -129,6 +129,8 @@ def test_non_finite_input_exits_2_with_one_line(tmp_path, capsys, config, argv):
          ["sweep", "{config}"], "seed must be an integer in [0, 2**64)"),
         (None, ["validate", "--t0", "1e-5", "--k", "1760", "--delta", "0.5"],
          "the closed form overflows the float range"),
+        (None, ["validate", "--t0", "1e300", "--delta", "0.9", "--k", "1000"],
+         "the closed form overflows the float range"),
         ('{"initial_tokens": 1e307, "initial_stake": 1}', ["simulate", "{config}"],
          "the initial supply"),
         ('{"grid": {"initial_tokens": [1e307]}, "replications": 1,'

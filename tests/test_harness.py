@@ -488,6 +488,63 @@ class TestCellSpanningBlocks:
         )
 
 
+def set_balance(row, value):
+    def fault(balances):
+        balances[row, 0] = value
+    return fault
+
+
+class TestStackedChecks:
+    """A run checks its rounds once per history, yet fails as one checked
+    round by round does: same exception, message, round and (cell,
+    replication)."""
+
+    PARAMS = SimParams(num_voters=10, num_items=10)  # 4 rows: 40 voter slots a round
+
+    def first_failure(self, monkeypatch, slots, faults, params=PARAMS):
+        """Type and message of what replications 0-3 of cell 1 raise with
+        ``faults[k](balances)`` applied before round k; and the history depth."""
+        run_round = harness.run_round
+        depths = set()
+
+        def faulty_run_round(state, rngs):
+            depths.add(state.history.depth)
+            if state.round_index in faults:
+                faults[state.round_index](state.balances)
+            return run_round(state, rngs)
+
+        monkeypatch.setattr(harness, "run_round", faulty_run_round)
+        monkeypatch.setattr(harness, "HISTORY_SLOTS", slots)
+        with pytest.raises((InvariantViolation, ConfigurationError)) as exc:
+            replicate(params, 4, base_seed=8, cell_index=1)
+        return (type(exc.value), str(exc.value)), depths
+
+    @pytest.mark.parametrize("slots,depth,faults,expected", [
+        (2**16, 10, {3: set_balance(2, np.nan)},
+         "cell 1, replication 2: settlement zero-sum at round 3 (seed {seed[2]}): nan != nan"),
+        # Rounds 8 and 9 are the last, partial history.
+        (160, 4, {9: set_balance(1, -1.0)},
+         "cell 1, replication 1: negative balance after round 9 (seed {seed[1]})"),
+        # -3e-9 is below the per-history test's -1e-9 but within the row
+        # check's 1e-9 x stake (about 5), so rounds 2-5 pass the row check.
+        (2**16, 10, {2: set_balance(0, -3e-9), 6: set_balance(3, -1.0)},
+         "cell 1, replication 3: negative balance after round 6 (seed {seed[3]})"),
+    ], ids=["nan-in-a-history", "last-partial-history", "tolerated-then-negative"])
+    def test_invariant_violation_is_the_first_failing_round(self, monkeypatch, slots, depth,
+                                                            faults, expected):
+        seed = [derive_seed(8, 1, rep) for rep in range(4)]
+        expected = (InvariantViolation, expected.format(seed=seed))
+        assert self.first_failure(monkeypatch, 1, faults) == (expected, {1})
+        assert self.first_failure(monkeypatch, slots, faults) == (expected, {depth})
+
+    def test_overflow_names_the_first_overflowing_round(self, monkeypatch):
+        params = replace(self.PARAMS, initial_tokens=1e300, inflation_rate=9.0)
+        expected = (ConfigurationError, "token balances overflow at round 7: "
+                    "inflation_rate 9.0 compounds past the float range")
+        assert self.first_failure(monkeypatch, 1, {}, params) == (expected, {1})
+        assert self.first_failure(monkeypatch, 2**16, {}, params) == (expected, {10})
+
+
 class TestSweep:
     def spec(self, replications=3):
         return SweepSpec(
