@@ -494,13 +494,15 @@ def validate_against_analysis(a: AnalysisParams, k_max: int) -> ValidationReport
     # (1 + delta)^k grows with k, so k_max is the worst case. A power too
     # large raises OverflowError; a finite power times t0 gives inf instead.
     try:
-        overflows = not np.isfinite(total_tokens(a, k_max))
+        (1.0 + a.delta) ** k_max
     except OverflowError:
-        overflows = True
-    if overflows:
+        overflow = f"(1 + delta)^k with delta {a.delta}"
+    else:
+        overflow = (None if np.isfinite(total_tokens(a, k_max))
+                    else f"t0 x (1 + delta)^k with t0 {a.t0}, delta {a.delta}")
+    if overflow:
         raise ConfigurationError(
-            f"the closed form overflows the float range by round {k_max}: "
-            f"(1 + delta)^k with delta {a.delta}"
+            f"the closed form overflows the float range by round {k_max}: {overflow}"
         )
     # (is_engaged, is_informed), grouped by class: IE, UE, ID, UD.
     roster = (

@@ -7,14 +7,14 @@ to the winning side, inflate the balances of everyone who voted, and record
 the decision.
 
 A state holds a block of R replications advanced in lockstep: balances are
-an (R, N) array, one row per replication, and every step works on boolean
-(R, N) masks. A block may span cells: its rows share a ``block_key``
-(num_voters, num_items and the stake policy kind), and every other
-parameter is a per-row column. Each replication keeps its own stream, drawn
-in the order ``voters.py`` fixes. Every per-replication sum runs over the
-same elements in the same order as a sum over that replication alone, and
-each per-row column feeds the same operation a scalar parameter would, so a
-replication's output does not depend on the block it runs in.
+an (R, N) array, one row per replication, and a round writes only its
+eligible voters' entries. A block may span cells: its rows share a
+``block_key`` (num_voters, num_items and the stake policy kind), and every
+other parameter is a per-row column. Each replication keeps its own stream,
+drawn in the order ``voters.py`` fixes. Every per-replication sum runs over
+the same elements in the same order as a sum over that replication alone,
+and each per-row column feeds the same operation a scalar parameter would,
+so a replication's output does not depend on the block it runs in.
 """
 
 from __future__ import annotations
@@ -104,12 +104,7 @@ class RoundRecord:
 
 
 class Round(NamedTuple):
-    """What one round did in every replication of a block: (R,) and (R, N) arrays.
-
-    ``total`` is each replication's token supply after the round: a view of
-    the round's slot in the state's history, overwritten when a later round
-    reuses that slot.
-    """
+    """What one round did in every replication of a block: (R,) and (R, N) arrays."""
 
     round_index: int
     item_good: np.ndarray
@@ -121,7 +116,6 @@ class Round(NamedTuple):
     payout: np.ndarray
     n_eligible: np.ndarray
     n_add: np.ndarray
-    total: np.ndarray
 
     def record(self, r: int = 0) -> RoundRecord:
         """The audit of the replication in row ``r``."""
@@ -173,8 +167,8 @@ class TcrState:
     held here once, as an (R,) or (R, 1) column. Classes never change
     during a run, so their sizes, an (R, 4) array in ``VoterClass`` order,
     and the index groups that sum each class's tokens are fixed here. Every
-    round yields one decision per replication, so ``v_incorrect`` is
-    ``round_index`` minus ``v_correct``.
+    round yields one decision per replication, so a row's incorrect
+    decisions are ``round_index`` minus ``v_correct``.
 
     Each round is recorded in ``history``, and its checks run, and its
     decisions reach ``v_correct``, once per history: when the history is
@@ -227,10 +221,6 @@ class TcrState:
         self._draw_rows = list(self._draws)
         self._votes = np.empty(rows * n)
         self._vote_grid = np.zeros((rows, n))
-
-    @property
-    def v_incorrect(self) -> np.ndarray:
-        return self.round_index - self.v_correct
 
     @property
     def total_tokens(self) -> np.ndarray:
@@ -332,49 +322,16 @@ def required_stake(state: TcrState, total: np.ndarray) -> np.ndarray:
     return state.stake_factor * base
 
 
-def tally(add_count, reject_count):
-    """Majority among votes actually cast, True for Add; ties and empty rounds reject."""
-    return add_count > reject_count
-
-
-def settle(state: TcrState, stake: np.ndarray, winners: np.ndarray, losers: np.ndarray,
-           n_win: np.ndarray, n_lose: np.ndarray) -> np.ndarray:
-    """Move each stake pool from its losing to its winning side; returns the (R,) payouts.
-
-    ``winners`` and ``losers`` are disjoint (R, N) voter masks of the sides
-    the tally chose, with ``n_win`` and ``n_lose`` voters. Ties (equal
-    sides, including the empty round) refund every stake, so the payout
-    equals the stake and no balance moves. Transfers are zero-sum.
-    """
-    moved = n_win != n_lose
-    payout = np.divide(stake * (n_win + n_lose), n_win, out=stake.copy(), where=moved)
-    # The sides tally chooses have n_win >= 1 whenever they differ, so for a
-    # finite stake both columns are finite and non-negative. A voter on
-    # neither side then gains 0.0 - 0.0, which leaves its balance's bits as
-    # they are (balances are never -0.0), and a loser's x + (0.0 - cut) is
-    # x - cut. A tie's winners gain 0.0.
-    gain, cut = (payout - stake)[:, None], np.where(moved, stake, 0.0)[:, None]
-    state.balances += gain * winners - cut * losers
-    return payout
-
-
-def apply_inflation(state: TcrState, participants: np.ndarray) -> None:
-    """Multiply every participant's post-settlement balance by its row's (1 + delta).
-
-    Losing voters are inflated too; forced abstainers and non-voters are not
-    (their balances are multiplied by 1.0, which keeps their bits).
-    """
-    state.balances *= np.where(participants, state.growth, 1.0)
-
-
 def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     """Draw and execute one round in every replication; mutates state.
 
     ``rngs[r]`` is row r's stream. Draws follow the contract in
     ``voters.py``: the item and one participation draw per voter in one
     call, then one vote draw per eligible voter in voter-id order.
-    The round is recorded in ``state.history``; when that fills, every
-    round in it is checked (``check_rounds``). Callers run it under
+    Settlement and inflation write only the eligible voters' balances, at
+    the flat indices the vote draws are placed at. The round is recorded in
+    ``state.history``; when that fills, every round in it is checked
+    (``check_rounds``). Callers run it under
     ``np.errstate(over="ignore", invalid="ignore")``: a row that overflows
     or turns NaN runs on until its history is checked, which reports the
     first failing round once.
@@ -400,19 +357,32 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     for rng, stop in zip(rngs, n_eligible.cumsum().tolist()):
         rng.uniform(stop - start, votes[start:stop])
         start = stop
-    state._vote_grid.ravel()[eligible.ravel().nonzero()[0]] = votes[:start]
+    idx = eligible.ravel().nonzero()[0]
+    state._vote_grid.ravel()[idx] = votes[:start]
     add = eligible & ((state._vote_grid < state.p_correct) == item_good[:, None])
     n_add = np.add.reduce(add, axis=1)
     n_reject = n_eligible - n_add
-    decision_add = tally(n_add, n_reject)
-
-    winners = eligible & (add == decision_add[:, None])
+    # Equal sides, including the empty round, reject and refund every stake.
+    decision_add = n_add > n_reject
+    moved = n_add != n_reject
     n_win = np.where(decision_add, n_add, n_reject)
-    payout = settle(state, stake, winners, eligible ^ winners, n_win, n_eligible - n_win)
+    payout = np.divide(stake * n_eligible, n_win, out=stake.copy(), where=moved)
+
+    # Only the eligible voters' balances are written, at the flat indices of
+    # vote placement, so every other balance keeps its bits. Winners gain
+    # payout - stake and losers lose the stake: n_win >= 1 whenever the sides
+    # differ, so for a finite stake both are finite. A tie's voters gain 0.0
+    # or -0.0, which keeps their bits (balances are never -0.0). Then each
+    # voter is inflated at its row's rate.
+    row = idx // n
+    won = add.ravel()[idx] == decision_add[row]
+    gain, cut = (payout - stake)[row], np.where(moved, stake, 0.0)[row]
+    flat = bal.ravel()
+    flat[idx] += np.where(won, gain, -cut)
     np.add.reduce(bal, axis=1, out=h.post_settle[s])
     np.add.reduce(bal * eligible, axis=1, out=h.participant_tokens[s])
-    apply_inflation(state, eligible)
-    total = np.add.reduce(bal, axis=1, out=h.total[s])
+    flat[idx] *= state.growth.ravel()[row]
+    np.add.reduce(bal, axis=1, out=h.total[s])
     h.balances[s] = bal
     np.equal(decision_add, item_good, out=h.correct[s])
     state.round_index += 1
@@ -420,7 +390,7 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     if h.size == h.depth:
         check_rounds(state, rngs)
     return Round(state.round_index - 1, item_good, stake, intends, eligible, add,
-                 decision_add, payout, n_eligible, n_add, total)
+                 decision_add, payout, n_eligible, n_add)
 
 
 def check_rounds(state: TcrState, rngs: Sequence[RngStream]) -> None:

@@ -128,9 +128,11 @@ def test_non_finite_input_exits_2_with_one_line(tmp_path, capsys, config, argv):
         ('{"grid": {"p_informed": [0.5]}, "replications": 1, "base_seed": -1}',
          ["sweep", "{config}"], "seed must be an integer in [0, 2**64)"),
         (None, ["validate", "--t0", "1e-5", "--k", "1760", "--delta", "0.5"],
-         "the closed form overflows the float range"),
+         "the closed form overflows the float range by round 1760: "
+         "(1 + delta)^k with delta 0.5\n"),
         (None, ["validate", "--t0", "1e300", "--delta", "0.9", "--k", "1000"],
-         "the closed form overflows the float range"),
+         "the closed form overflows the float range by round 1000: "
+         "t0 x (1 + delta)^k with t0 1e+300, delta 0.9\n"),
         ('{"initial_tokens": 1e307, "initial_stake": 1}', ["simulate", "{config}"],
          "the initial supply"),
         ('{"grid": {"initial_tokens": [1e307]}, "replications": 1,'

@@ -7,54 +7,48 @@ from hypothesis import strategies as st
 from tcrlab.harness import RunConfig, run_simulation
 from tcrlab.metrics import METRIC_NAMES
 from tcrlab.params import SimParams
-from tcrlab.protocol import init_registry, settle, tally
+from tcrlab.protocol import init_registry, run_round
 from tcrlab.voters import RngStream, VoterClass, sample_roster
 
 probability = st.floats(min_value=0.0, max_value=1.0)
 
 
 @st.composite
-def settlement_cases(draw):
-    n = draw(st.integers(min_value=1, max_value=40))
-    stake = draw(st.floats(min_value=0.01, max_value=50.0))
-    sides = draw(st.lists(st.booleans(), min_size=0, max_size=n))
-    voted = np.zeros((1, n), dtype=bool)
-    voted[0, : len(sides)] = True
-    add = np.zeros((1, n), dtype=bool)
-    add[0, : len(sides)] = sides
-    return n, np.array([stake]), add, voted & ~add
-
-
-def settle_by_tally(state, stake, add, rej):
-    n_add, n_rej = add.sum(axis=1), rej.sum(axis=1)
-    if tally(n_add, n_rej)[0]:
-        settle(state, stake, add, rej, n_add, n_rej)
-    else:
-        settle(state, stake, rej, add, n_rej, n_add)
-
-
-@given(settlement_cases())
-def test_settlement_is_zero_sum(case):
-    n, stake, add, rej = case
-    state = init_registry(
-        SimParams(num_voters=n, initial_tokens=100.0, initial_stake=50.0),
-        [[(True, True)] * n],
+def one_row_rounds(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    params = SimParams(
+        num_voters=n,
+        initial_stake=draw(st.floats(min_value=0.0, max_value=100.0)),
+        inflation_rate=draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5))),
+        p_vote_engaged=draw(probability),
+        p_vote_disengaged=draw(probability),
+        p_correct_informed=draw(probability),
+        p_correct_uninformed=draw(probability),
+        p_item_good=draw(probability),
     )
-    before = state.total_tokens
-    settle_by_tally(state, stake, add, rej)
-    assert np.all(abs(state.total_tokens - before) <= 1e-9 * np.maximum(before, 1.0))
+    roster = draw(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=n, max_size=n))
+    balances = draw(st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=n, max_size=n))
+    return params, roster, balances, draw(st.integers(min_value=0, max_value=2**32 - 1))
 
 
-@given(settlement_cases())
-def test_tie_and_unanimous_rounds_are_wealth_neutral(case):
-    n, stake, add, rej = case
-    state = init_registry(
-        SimParams(num_voters=n, initial_tokens=100.0, initial_stake=50.0),
-        [[(True, True)] * n],
-    )
-    if add.sum() == rej.sum() or not add.any() or not rej.any():
-        settle_by_tally(state, stake, add, rej)
-        assert np.allclose(state.balances, 100.0, rtol=1e-9)
+@settings(max_examples=60, deadline=None)
+@given(one_row_rounds())
+def test_round_moves_only_participants_and_settles_zero_sum(case):
+    params, roster, balances, seed = case
+    state = init_registry(params, [roster])
+    state.balances[0] = balances
+    before = state.balances[0].copy()
+    record = run_round(state, [RngStream(seed)]).record()
+    after = state.balances[0]
+    voted = np.zeros(params.num_voters, dtype=bool)
+    voted[list(record.inflation_applied_to)] = True
+    assert after[~voted].tobytes() == before[~voted].tobytes()
+    if params.inflation_rate == 0.0:
+        assert abs(after.sum() - before.sum()) <= 1e-9 * max(before.sum(), 1.0)
+    if record.n_add == record.n_reject or 0 in (record.n_add, record.n_reject):
+        # A tie or a unanimous round moves no stake; only inflation is left.
+        inflated = before * np.where(voted, 1.0 + params.inflation_rate, 1.0)
+        assert np.allclose(after, inflated, rtol=1e-9, atol=0.0)
 
 
 @st.composite

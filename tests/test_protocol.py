@@ -5,12 +5,9 @@ from tcrlab.params import AnalysisSigmaStake, ConfigurationError, SimParams
 from tcrlab.protocol import (
     Decision,
     InvariantViolation,
-    apply_inflation,
     init_registry,
     required_stake,
     run_round,
-    settle,
-    tally,
 )
 from tcrlab.voters import RngStream
 
@@ -19,25 +16,15 @@ from tcrlab.voters import RngStream
 # votes then follow from the roster alone, whatever the draws.
 SURE = dict(p_vote_engaged=1.0, p_vote_disengaged=0.0, p_correct_informed=1.0,
             p_correct_uninformed=0.0, p_item_good=1.0)
+# (is_engaged, is_informed) of a voter who, under SURE, votes Add, votes
+# Reject or stays out.
+ADD, REJ, OUT = (True, True), (True, False), (False, True)
 
 
 def make_state(n=100, initial_tokens=100.0, roster=None, **kwargs):
     """A one-replication block."""
     params = SimParams(num_voters=n, initial_tokens=initial_tokens, **kwargs)
     return init_registry(params, [roster or [(True, True)] * n])
-
-
-def mask(n, ids):
-    """A (1, n) voter mask of one replication."""
-    out = np.zeros((1, n), dtype=bool)
-    out[0, list(ids)] = True
-    return out
-
-
-def settle_sides(state, stake, winners, losers):
-    """Settle a one-replication block: the stake pool of ``losers`` goes to ``winners``."""
-    return settle(state, np.array([stake]), winners, losers,
-                  winners.sum(axis=1), losers.sum(axis=1))
 
 
 def one_round(state, seed=0):
@@ -51,7 +38,7 @@ class TestInitRegistry:
         state = make_state(n=100, initial_tokens=100.0)
         assert state.total_tokens.tolist() == [10000.0]
         assert state.round_index == 0
-        assert state.v_correct.tolist() == [0] and state.v_incorrect.tolist() == [0]
+        assert state.v_correct.tolist() == [0]
 
     def test_single_voter(self):
         state = make_state(n=1)
@@ -138,87 +125,58 @@ class TestRequiredStake:
         assert required_stake(state, state.total_tokens) == pytest.approx([5.0, 10.0])
 
 
-class TestTally:
-    def test_strict_majority_adds(self):
-        assert tally(35, 25)
+class TestSettlement:
+    """Tally and settlement, through whole rounds at delta 0."""
 
-    def test_tie_rejects(self):
-        assert not tally(30, 30)
-
-    def test_zero_participation_rejects(self):
-        assert not tally(0, 0)
-
-    def test_reject_majority(self):
-        assert not tally(10, 40)
-
-    def test_per_replication(self):
-        assert tally(np.array([35, 30, 0, 10]), np.array([25, 30, 0, 40])).tolist() == [
-            True, False, False, False]
-
-
-class TestSettle:
     def test_split_rule_arithmetic(self):
-        state = make_state(n=60)
-        add, rej = mask(60, range(35)), mask(60, range(35, 60))
-        payout = settle_sides(state, 5.0, add, rej)
-        assert payout == pytest.approx([300.0 / 35])
-        assert np.allclose(state.balances[add], 100.0 + 300.0 / 35 - 5.0)
-        assert np.allclose(state.balances[rej], 95.0)
-
-    def test_unanimous_round_is_neutral(self):
-        state = make_state(n=40)
-        settle_sides(state, 5.0, mask(40, range(40)), mask(40, ()))
-        assert np.allclose(state.balances, 100.0)
-
-    def test_tie_refunds_everyone(self):
-        state = make_state(n=60)
-        payout = settle_sides(state, 5.0, mask(60, range(30, 60)), mask(60, range(30)))
-        assert payout == pytest.approx([5.0])
-        assert np.allclose(state.balances, 100.0)
-
-    def test_zero_participants_no_change(self):
-        state = make_state(n=10)
-        settle_sides(state, 5.0, mask(10, ()), mask(10, ()))
-        assert np.allclose(state.balances, 100.0)
+        state = make_state(n=60, roster=[ADD] * 35 + [REJ] * 25, inflation_rate=0.0, **SURE)
+        record = one_round(state)
+        assert record.decision is Decision.ADD
+        assert record.per_winner_payout == pytest.approx(300.0 / 35)
+        assert np.allclose(state.balances[0, :35], 100.0 + 300.0 / 35 - 5.0)
+        assert np.allclose(state.balances[0, 35:], 95.0)
 
     def test_conservation(self):
-        state = make_state(n=50)
+        roster = [REJ] * 20 + [ADD] * 25 + [OUT] * 5
+        state = make_state(n=50, roster=roster, initial_stake=7.3, inflation_rate=0.0, **SURE)
         before = state.total_tokens
-        settle_sides(state, 7.3, mask(50, range(20, 45)), mask(50, range(20)))
+        record = one_round(state)
+        assert record.stake == pytest.approx(7.3)
         assert state.total_tokens == pytest.approx(before, rel=1e-9)
 
+    @pytest.mark.parametrize("side, decision", [(ADD, Decision.ADD), (REJ, Decision.REJECT)])
+    def test_unanimous_round_changes_no_balance(self, side, decision):
+        state = make_state(n=40, roster=[side] * 40, inflation_rate=0.0, **SURE)
+        assert one_round(state).decision is decision
+        assert state.balances.tolist() == [[100.0] * 40]
+
     def test_rows_settle_independently(self):
-        # Row 0 wins 2 to 1, row 1 ties 1 to 1, row 2 wins 2 to 1 on the other voters.
-        params = SimParams(num_voters=3)
-        state = init_registry(params, [[(True, True)] * 3] * 3)
-        winners = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1]], dtype=bool)
-        losers = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=bool)
-        stake = np.array([6.0, 6.0, 6.0])
-        payout = settle(state, stake, winners, losers, winners.sum(axis=1), losers.sum(axis=1))
-        assert payout == pytest.approx([9.0, 6.0, 9.0])
-        assert np.allclose(state.balances, [[103, 103, 94], [100, 100, 100], [94, 103, 103]])
+        # Row 0 adds 2 to 1, row 1 ties 1 to 1, row 2 rejects 2 to 1 and
+        # row 3 has no participant.
+        params = SimParams(num_voters=3, initial_stake=6.0, inflation_rate=0.0, **SURE)
+        state = init_registry(params, [[ADD, ADD, REJ], [ADD, REJ, OUT], [REJ, ADD, REJ],
+                                       [OUT] * 3])
+        rnd = run_round(state, [RngStream(r) for r in range(4)])
+        assert rnd.decision_add.tolist() == [True, False, False, False]
+        assert rnd.payout == pytest.approx([9.0, 6.0, 9.0, 6.0])
+        assert np.allclose(state.balances,
+                           [[103, 103, 94], [100, 100, 100], [103, 94, 103], [100, 100, 100]])
 
 
-def mixed_delta_state(n, deltas):
-    """A block with one row per inflation rate, every voter engaged and informed."""
-    params = [SimParams(num_voters=n, inflation_rate=d) for d in deltas]
-    return init_registry(params, [[(True, True)] * n] * len(deltas))
-
-
-class TestApplyInflation:
-    def test_participant_inflated_at_its_rows_rate(self):
-        state = mixed_delta_state(2, [0.02, 0.5])
-        apply_inflation(state, np.array([[True, False], [False, True]]))
-        assert state.balances.tolist() == [[100.0 * 1.02, 100.0], [100.0, 150.0]]
-
-    def test_zero_delta_is_identity(self):
-        # A row at delta 0 keeps its balances' bits, whatever the other rows do.
-        state = mixed_delta_state(5, [0.0, 0.05])
-        state.balances[:] = [[0.0, 1e-300, 3.3, 7e12, 1.0 / 3.0], [1.0] * 5]
+class TestInflation:
+    def test_only_participants_inflate_at_their_rows_rate(self):
+        # A zero stake makes every intending voter eligible, whatever its
+        # balance. The delta-0 row keeps its balances' bits.
+        params = [SimParams(num_voters=5, initial_stake=0.0, inflation_rate=d, **SURE)
+                  for d in (0.0, 0.5)]
+        state = init_registry(params, [[ADD, REJ, ADD, OUT, ADD], [ADD, OUT, ADD, OUT, REJ]])
+        state.balances[0] = [0.0, 1e-300, 3.3, 7e12, 1.0 / 3.0]
         before = state.balances[0].tobytes()
-        apply_inflation(state, np.ones((2, 5), dtype=bool))
+        rnd = run_round(state, [RngStream(0), RngStream(1)])
+        assert rnd.eligible.tolist() == [[True, True, True, False, True],
+                                         [True, False, True, False, True]]
         assert state.balances[0].tobytes() == before
-        assert state.balances[1].tolist() == [1.05] * 5
+        assert state.balances[1].tolist() == [150.0, 100.0, 150.0, 100.0, 150.0]
 
 
 class TestRunRound:
@@ -233,7 +191,7 @@ class TestRunRound:
         assert record.decision is Decision.ADD
         assert record.decision_correct
         assert record.item.item_id == record.round_index == 0
-        assert state.v_correct.tolist() == [1] and state.v_incorrect.tolist() == [0]
+        assert state.v_correct.tolist() == [1]
         assert state.round_index == 1
         assert record.add_voters.isdisjoint(record.reject_voters)
 
@@ -278,8 +236,8 @@ class TestRunRound:
         record = one_round(state)
         assert len(record.add_voters) == len(record.reject_voters) == 5
         assert record.decision is Decision.REJECT
-        assert record.per_winner_payout == pytest.approx(record.stake)
-        assert np.allclose(state.balances, 100.0)
+        assert record.per_winner_payout == record.stake
+        assert state.balances.tolist() == [[100.0] * 10]
 
 
 class TestInvariantsFailOnNan:
