@@ -144,6 +144,36 @@ class TestSettlement:
         assert record.stake == pytest.approx(7.3)
         assert state.total_tokens == pytest.approx(before, rel=1e-9)
 
+    @pytest.mark.parametrize("n_add, n_rej, decision", [
+        (35, 25, Decision.ADD), (30, 30, Decision.REJECT), (0, 0, Decision.REJECT),
+        (10, 40, Decision.REJECT)],
+        ids=["strict-majority-adds", "tie-rejects", "no-participant-rejects", "reject-majority"])
+    def test_decision_and_payout_follow_the_strict_majority(self, n_add, n_rej, decision):
+        roster = [ADD] * n_add + [REJ] * n_rej + [OUT] * 10
+        state = make_state(n=len(roster), roster=roster, inflation_rate=0.0, **SURE)
+        record = one_round(state)
+        assert (record.n_add, record.n_reject, record.decision) == (n_add, n_rej, decision)
+        if n_add == n_rej:
+            assert record.per_winner_payout == record.stake
+            assert state.balances.tolist() == [[100.0] * len(roster)]
+            return
+        n_win = max(n_add, n_rej)
+        payout = 5.0 * (n_add + n_rej) / n_win
+        assert record.per_winner_payout == pytest.approx(payout)
+        won = np.array([decision is Decision.ADD] * n_add + [decision is Decision.REJECT] * n_rej)
+        assert np.allclose(state.balances[0, :n_add + n_rej],
+                           np.where(won, 100.0 + payout - 5.0, 95.0))
+        assert state.balances[0, n_add + n_rej:].tolist() == [100.0] * 10
+
+    def test_loser_holding_exactly_the_stake_ends_at_zero(self):
+        # The stake is every voter's whole balance.
+        state = make_state(n=3, roster=[ADD, ADD, REJ], initial_stake=100.0,
+                           inflation_rate=0.0, **SURE)
+        record = one_round(state)
+        assert record.stake == 100.0
+        assert record.decision is Decision.ADD and 2 in record.inflation_applied_to
+        assert state.balances.tolist() == [[150.0, 150.0, 0.0]]
+
     @pytest.mark.parametrize("side, decision", [(ADD, Decision.ADD), (REJ, Decision.REJECT)])
     def test_unanimous_round_changes_no_balance(self, side, decision):
         state = make_state(n=40, roster=[side] * 40, inflation_rate=0.0, **SURE)
@@ -164,9 +194,18 @@ class TestSettlement:
 
 
 class TestInflation:
-    def test_only_participants_inflate_at_their_rows_rate(self):
+    def test_participants_inflate_at_their_rows_rate(self):
+        params = [SimParams(num_voters=3, initial_stake=0.0, inflation_rate=d, **SURE)
+                  for d in (0.02, 0.5)]
+        state = init_registry(params, [[ADD, OUT, ADD], [OUT, ADD, REJ]])
+        run_round(state, [RngStream(0), RngStream(1)])
+        assert state.balances.tolist() == [[100.0 * 1.02, 100.0, 100.0 * 1.02],
+                                           [100.0, 150.0, 150.0]]
+
+    def test_zero_delta_row_keeps_its_bits(self):
         # A zero stake makes every intending voter eligible, whatever its
-        # balance. The delta-0 row keeps its balances' bits.
+        # balance. The delta-0 row keeps its balances' bits, whatever the
+        # other row does.
         params = [SimParams(num_voters=5, initial_stake=0.0, inflation_rate=d, **SURE)
                   for d in (0.0, 0.5)]
         state = init_registry(params, [[ADD, REJ, ADD, OUT, ADD], [ADD, OUT, ADD, OUT, REJ]])
@@ -177,6 +216,28 @@ class TestInflation:
                                          [True, False, True, False, True]]
         assert state.balances[0].tobytes() == before
         assert state.balances[1].tolist() == [150.0, 100.0, 150.0, 100.0, 150.0]
+
+    def test_settlement_precedes_inflation(self):
+        # Each row settles first, then inflates its voters' settled balances
+        # at its own rate: row 0 adds 2 to 1, row 1 ties.
+        params = [SimParams(num_voters=4, initial_stake=6.0, inflation_rate=d, **SURE)
+                  for d in (0.5, 0.25)]
+        state = init_registry(params, [[ADD, ADD, REJ, OUT], [ADD, REJ, OUT, OUT]])
+        run_round(state, [RngStream(0), RngStream(1)])
+        assert state.balances.tolist() == [[154.5, 154.5, 141.0, 100.0],
+                                           [125.0, 125.0, 100.0, 100.0]]
+
+    def test_supply_grows_by_delta_times_participant_tokens(self):
+        # Settlement only moves tokens among the participants, so a round
+        # adds delta times the tokens they held when it began.
+        state = make_state(n=50, inflation_rate=0.05)
+        state.balances[0] = np.linspace(1.0, 500.0, 50)
+        before = state.balances[0].copy()
+        record = one_round(state, seed=11)
+        voted = sorted(record.inflation_applied_to)
+        assert 0 < len(voted) < 50
+        assert state.total_tokens == pytest.approx(
+            before.sum() + 0.05 * before[voted].sum(), rel=1e-12)
 
 
 class TestRunRound:
