@@ -30,16 +30,15 @@ SWEEP_WIDE = {
     "sim_params": {"num_voters": 600, "num_items": 10},
 }
 
+# 7 voters at an 8% stake: 192 rounds with forced abstentions, 26 non-empty
+# ties and 6 empty rounds.
+SMALL = {"num_voters": 7, "num_items": 200, "initial_stake": 40.0}
+
 CASES = [
     ("trace_seed42.csv", None, ["simulate", "--seed", "42"], "trace.csv"),
-    (
-        # 7 voters at an 8% stake: 192 rounds with forced abstentions,
-        # 26 non-empty ties and 6 empty rounds.
-        "trace_small_seed3.csv",
-        {"num_voters": 7, "num_items": 200, "initial_stake": 40.0},
-        ["simulate", "{config}", "--seed", "3"],
-        "trace.csv",
-    ),
+    ("summary_seed42.json", None, ["simulate", "--seed", "42"], "summary.json"),
+    ("trace_small_seed3.csv", SMALL, ["simulate", "{config}", "--seed", "3"], "trace.csv"),
+    ("summary_small_seed3.json", SMALL, ["simulate", "{config}", "--seed", "3"], "summary.json"),
     ("aggregate_2cell.csv", SWEEP_2CELL, ["sweep", "{config}"], "aggregate.csv"),
     ("aggregate_2cell.json", SWEEP_2CELL, ["sweep", "{config}"], "aggregate.json"),
     ("aggregate_wide.json", SWEEP_WIDE, ["sweep", "{config}"], "aggregate.json"),
