@@ -15,7 +15,7 @@ import warnings
 from collections.abc import Iterator, Sequence
 from contextlib import closing
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .params import AnalysisSigmaStake, ConfigurationError, SimParams, check_fie
 from .protocol import (
     History,
     InvariantViolation,
-    RoundRecord,
     TcrState,
     block_key,
     check_rounds,
@@ -56,25 +55,35 @@ class RunConfig:
         check_seed(self.base_seed)
 
 
-def run_simulation(
-    config: RunConfig, roster: Sequence[tuple[bool, bool]] | np.ndarray | None = None
-) -> list[tuple[RoundRecord, np.ndarray]]:
-    """Execute all rounds; returns the full (audit, metrics row) trace.
+class Trace(NamedTuple):
+    """One run: its (rounds, metrics) rows, in METRIC_NAMES order; its
+    per-round columns, (rounds,) arrays keyed by ``ROUND_COLUMNS``; and its
+    class sizes, in ``VoterClass`` order."""
 
-    This is the lockstep kernel with one replication. Each metrics row is a
-    float array in METRIC_NAMES order. A fixed roster, N (is_engaged,
-    is_informed) pairs, may be supplied (no roster draws are consumed then);
-    otherwise the roster is sampled from the stream first.
+    rows: np.ndarray
+    rounds: dict[str, np.ndarray]
+    class_sizes: np.ndarray
+
+
+# The History slots a run keeps for every round: what the metrics rows are
+# computed from, then each round's stake, item, decision and voter counts.
+ROUND_COLUMNS = ("v_correct", "total", "stake", "item_good", "decision_add", "n_intends",
+                 "n_eligible", "n_add")
+
+
+def run_simulation(config: RunConfig) -> Trace:
+    """Execute all rounds of one run; returns its ``Trace``.
+
+    This is the lockstep kernel with one replication, whose roster is
+    sampled from the run's stream first.
     """
     params = config.sim_params
     _check_size(params)
     rng = RngStream(config.base_seed)
-    if roster is None:
-        roster = sample_roster(params, rng)
-    state = init_registry(params, [roster])
-    records = []
-    rows = _advance(state, [rng], lambda rnd: records.append(rnd.record()))
-    return list(zip(records, rows[0]))
+    state = init_registry(params, [sample_roster(params, rng)])
+    rows, columns = _advance(state, [rng])
+    return Trace(rows[0], {name: column[0] for name, column in columns.items()},
+                 state.class_sizes[0])
 
 
 def run_block(params: Sequence[SimParams], seeds: list[int]) -> np.ndarray:
@@ -86,40 +95,38 @@ def run_block(params: Sequence[SimParams], seeds: list[int]) -> np.ndarray:
     """
     rngs = [RngStream(seed) for seed in seeds]
     state = init_registry(params, [sample_roster(p, rng) for p, rng in zip(params, rngs)])
-    return _advance(state, rngs)
+    return _advance(state, rngs)[0]
 
 
-def _advance(state: TcrState, rngs: list[RngStream], on_round=None) -> np.ndarray:
-    """Run every round of a block; returns its (R, rounds, metrics) rows.
+def _advance(state: TcrState, rngs: list[RngStream]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Run every round of a block; returns its (R, rounds, metrics) rows and
+    its (R, rounds) columns of each of ``ROUND_COLUMNS``.
 
-    ``on_round``, if given, is called with each round's ``Round``. The
-    state's history is sized to as many rounds as fit in HISTORY_SLOTS
+    The state's history is sized to as many rounds as fit in HISTORY_SLOTS
     voter slots (at least one). ``run_round`` records each round in it, and
     once per history, when it is full or the run ends, every recorded round
-    is checked and what the metrics need is read from it: the supply, the
-    correct-decision counts and, in one pass, the class tokens. The rows
-    are computed once, at the end.
+    is checked and copied out: its ``ROUND_COLUMNS`` slots and, in one pass,
+    its class tokens. The rows are computed once, at the end.
     """
-    rows, rounds = len(rngs), state.num_items
-    v_correct = np.empty((rows, rounds), dtype=np.int64)
-    t_total = np.empty((rows, rounds))
-    tokens = np.empty((rows, rounds, len(CLASS_ORDER)))
+    replications, rounds = len(rngs), state.num_items
     depth = max(1, min(rounds, HISTORY_SLOTS // state.balances.size))
     history = state.history = History(depth, *state.balances.shape)
+    columns = {name: np.empty((replications, rounds), getattr(history, name).dtype)
+               for name in ROUND_COLUMNS}
+    tokens = np.empty((replications, rounds, len(CLASS_ORDER)))
     with np.errstate(over="ignore", invalid="ignore"):  # check_rounds checks every row
         for first in range(0, rounds, depth):
             last = min(first + depth, rounds)
             for _ in range(first, last):
-                rnd = run_round(state, rngs)
-                if on_round is not None:
-                    on_round(rnd)
+                run_round(state, rngs)
             check_rounds(state, rngs)  # a full history is checked already
             done = last - first
-            v_correct[:, first:last] = history.v_correct[:done].T
-            t_total[:, first:last] = history.total[:done].T
+            for name, column in columns.items():
+                column[:, first:last] = getattr(history, name)[:done].T
             tokens[:, first:last] = state.class_tokens(history.balances[:done]).swapaxes(0, 1)
-    return metric_rows(state.clamp_value[:, None], state.class_sizes[:, None], v_correct,
-                       np.arange(1, rounds + 1), t_total, tokens)
+    rows = metric_rows(state.clamp_value[:, None], state.class_sizes[:, None],
+                       columns["v_correct"], np.arange(1, rounds + 1), columns["total"], tokens)
+    return rows, columns
 
 
 _MASK64 = (1 << 64) - 1
@@ -511,8 +518,8 @@ def validate_against_analysis(a: AnalysisParams, k_max: int) -> ValidationReport
         + [(False, True)] * a.n_id
         + [(False, False)] * a.n_ud
     )
-    rows = _advance(init_registry(params, [roster]), [RngStream(0)])[0]
-    column = dict(zip(METRIC_NAMES, rows.T))
+    rows, _ = _advance(init_registry(params, [roster]), [RngStream(0)])
+    column = dict(zip(METRIC_NAMES, rows[0].T))
     rounds = range(1, k_max + 1)
     wrong = np.flatnonzero(column["lurp_raw"] != rounds)
     if wrong.size:

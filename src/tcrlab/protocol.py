@@ -4,7 +4,7 @@ One round processes one candidate item: draw the item, compute the required
 stake, draw participation intents and filter out those that cannot cover
 the stake, draw the eligible voters' votes, tally them, move the stake pool
 to the winning side, inflate the balances of everyone who voted, and record
-the decision.
+the round's decision and vote counts in the state's history.
 
 A state holds a block of R replications advanced in lockstep: balances are
 an (R, N) array, one row per replication, and a round writes only its
@@ -19,9 +19,7 @@ so a replication's output does not depend on the block it runs in.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -45,66 +43,13 @@ class InvariantViolation(RuntimeError):
         self.row = row
 
 
-class Decision(enum.Enum):
-    ADD = "add"
-    REJECT = "reject"
-
-
-@dataclass
-class Item:
-    item_id: int
-    is_good: bool
-
-
-@dataclass
-class RoundRecord:
-    """Audit of one voting round of one replication.
-
-    It keeps the round's voter masks and vote counts; the voter-id sets are
-    built from the masks the first time they are read.
-    """
-
-    round_index: int
-    item: Item
-    stake: float
-    decision: Decision
-    decision_correct: bool
-    per_winner_payout: float
-    intends: np.ndarray
-    eligible: np.ndarray
-    add: np.ndarray
-    n_participants: int
-    n_add: int
-    n_reject: int
-
-    @cached_property
-    def n_forced(self) -> int:
-        """Intending voters who could not cover the stake."""
-        return int(self.intends.sum()) - self.n_participants
-
-    @cached_property
-    def intended_participants(self) -> frozenset[int]:
-        return _ids(self.intends)
-
-    @cached_property
-    def forced_abstentions(self) -> frozenset[int]:
-        return _ids(self.intends & ~self.eligible)
-
-    @cached_property
-    def add_voters(self) -> frozenset[int]:
-        return _ids(self.add)
-
-    @cached_property
-    def reject_voters(self) -> frozenset[int]:
-        return _ids(self.eligible & ~self.add)
-
-    @cached_property
-    def inflation_applied_to(self) -> frozenset[int]:
-        return _ids(self.eligible)
-
-
 class Round(NamedTuple):
-    """What one round did in every replication of a block: (R,) and (R, N) arrays."""
+    """What one round did in every replication of a block: (R,) and (R, N) arrays.
+
+    ``decision_add``, ``n_eligible`` and ``n_add`` are views of the round's
+    slot in ``TcrState.history``: the next round written to that slot
+    overwrites them.
+    """
 
     round_index: int
     item_good: np.ndarray
@@ -117,35 +62,18 @@ class Round(NamedTuple):
     n_eligible: np.ndarray
     n_add: np.ndarray
 
-    def record(self, r: int = 0) -> RoundRecord:
-        """The audit of the replication in row ``r``."""
-        good, decision_add = bool(self.item_good[r]), bool(self.decision_add[r])
-        n_eligible, n_add = int(self.n_eligible[r]), int(self.n_add[r])
-        return RoundRecord(
-            round_index=self.round_index,
-            item=Item(self.round_index, good),
-            stake=float(self.stake[r]),
-            decision=Decision.ADD if decision_add else Decision.REJECT,
-            decision_correct=decision_add == good,
-            per_winner_payout=float(self.payout[r]),
-            intends=self.intends[r],
-            eligible=self.eligible[r],
-            add=self.add[r],
-            n_participants=n_eligible,
-            n_add=n_add,
-            n_reject=n_eligible - n_add,
-        )
-
 
 class History:
     """The last rounds of a block, as ``run_round`` recorded them: one slot a round.
 
     A slot holds the round's (R, N) balances after inflation and its (R,)
     stake, token totals before and after settlement, participant tokens
-    after settlement, supply after inflation and correct-decision flags.
-    ``size`` slots are filled and the first ``checked`` of them have been
-    checked; ``v_correct`` holds the running correct-decision count of each
-    checked slot. A full history starts over at slot 0 with the next round.
+    after settlement and supply after inflation; whether the item was good
+    and whether it was added; and the counts of intending, eligible and add
+    voters. ``size`` slots are filled and the first ``checked`` of them have
+    been checked; ``v_correct`` holds the running correct-decision count of
+    each checked slot. A full history starts over at slot 0 with the next
+    round.
     """
 
     def __init__(self, depth: int, rows: int, n: int):
@@ -153,8 +81,9 @@ class History:
         self.balances = np.empty((depth, rows, n))
         (self.stake, self.pre_settle, self.post_settle, self.participant_tokens,
          self.total) = np.empty((5, depth, rows))
-        self.correct = np.empty((depth, rows), dtype=bool)
-        self.v_correct = np.empty((depth, rows), dtype=np.int64)
+        self.item_good, self.decision_add = np.empty((2, depth, rows), dtype=bool)
+        self.n_intends, self.n_eligible, self.n_add, self.v_correct = np.empty(
+            (4, depth, rows), dtype=np.int64)
         self.size = self.checked = 0
 
 
@@ -221,11 +150,6 @@ class TcrState:
         self._draw_rows = list(self._draws)
         self._votes = np.empty(rows * n)
         self._vote_grid = np.zeros((rows, n))
-
-    @property
-    def total_tokens(self) -> np.ndarray:
-        """(R,) token supply of each replication."""
-        return self.balances.sum(axis=1)
 
     def class_tokens(self, balances: np.ndarray | None = None) -> np.ndarray:
         """(R, 4) tokens held by each class, in ``VoterClass`` order.
@@ -349,8 +273,10 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
         rng.uniform(n + 1, draws)
     below = state._draws < state.draw_cutoffs
     item_good, intends = below[:, 0], below[:, 1:]
+    h.item_good[s] = item_good
+    np.add.reduce(intends, axis=1, out=h.n_intends[s])
     eligible = intends & (bal >= (stake * (1.0 - REL_TOL))[:, None])
-    n_eligible = np.add.reduce(eligible, axis=1)
+    n_eligible = np.add.reduce(eligible, axis=1, out=h.n_eligible[s])
     # Each row's vote draws, end to end, then placed at its eligible voters'
     # flat indices, in row-major (voter-id) order.
     votes, start = state._votes, 0
@@ -360,10 +286,10 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     idx = eligible.ravel().nonzero()[0]
     state._vote_grid.ravel()[idx] = votes[:start]
     add = eligible & ((state._vote_grid < state.p_correct) == item_good[:, None])
-    n_add = np.add.reduce(add, axis=1)
+    n_add = np.add.reduce(add, axis=1, out=h.n_add[s])
     n_reject = n_eligible - n_add
     # Equal sides, including the empty round, reject and refund every stake.
-    decision_add = n_add > n_reject
+    decision_add = np.greater(n_add, n_reject, out=h.decision_add[s])
     moved = n_add != n_reject
     n_win = np.where(decision_add, n_add, n_reject)
     payout = np.divide(stake * n_eligible, n_win, out=stake.copy(), where=moved)
@@ -384,7 +310,6 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     flat[idx] *= state.growth.ravel()[row]
     np.add.reduce(bal, axis=1, out=h.total[s])
     h.balances[s] = bal
-    np.equal(decision_add, item_good, out=h.correct[s])
     state.round_index += 1
     h.size += 1
     if h.size == h.depth:
@@ -419,7 +344,8 @@ def check_rounds(state: TcrState, rngs: Sequence[RngStream]) -> None:
         for s in np.flatnonzero(~fine).tolist():
             _check_round(state, rngs, first + s, h.balances[lo + s], h.stake[lo + s],
                          pre[s], post[s], total[s], expected[s])
-    counts = np.cumsum(h.correct[lo:hi], axis=0, out=h.v_correct[lo:hi])
+    counts = np.cumsum(h.decision_add[lo:hi] == h.item_good[lo:hi], axis=0,
+                       out=h.v_correct[lo:hi])
     counts += state.v_correct
     state.v_correct[:] = counts[-1]
     h.checked = hi
@@ -440,10 +366,6 @@ def _check_round(state, rngs, k, balances, stake, pre_settle_total, post_settle_
         _check_close(float(total[r]), float(expected[r]), "inflation bookkeeping", where, r)
         if not balances[r].min() >= -REL_TOL * max(1.0, float(stake[r])):
             raise InvariantViolation(f"negative balance after {where}", r)
-
-
-def _ids(mask: np.ndarray) -> frozenset[int]:
-    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def _check_close(actual: float, expected: float, what: str, where: str, row: int) -> None:

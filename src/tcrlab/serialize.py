@@ -22,11 +22,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .harness import AggregateStats, RunConfig, STAT_NAMES, SweepSpec, ValidationReport
+from .harness import AggregateStats, RunConfig, STAT_NAMES, SweepSpec, Trace, ValidationReport
 from .metrics import CLASS_ORDER, METRIC_NAMES
 from .params import AnalysisSigmaStake, ConfigurationError, ProtocolStake, SimParams
-from .protocol import RoundRecord, init_registry
-from .voters import RngStream, sample_roster
 
 TRACE_COLUMNS = (
     "round",
@@ -148,31 +146,31 @@ def _load_json(path: str | Path):
 
 # --- trace output -----------------------------------------------------------
 
-def write_trace_csv(path: Path, trace: list[tuple[RoundRecord, np.ndarray]]) -> None:
+def write_trace_csv(path: Path, trace: Trace) -> None:
+    c = trace.rounds
+    correct = c["decision_add"] == c["item_good"]
+    forced = c["n_intends"] - c["n_eligible"]
+    reject = c["n_eligible"] - c["n_add"]
+    columns = (c["item_good"], c["decision_add"], correct, c["stake"], c["n_eligible"], forced,
+               c["n_add"], reject, trace.rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for rec, row in trace:
-            fh.write(f"{rec.round_index},{_bool(rec.item.is_good)},{rec.decision.value},"
-                     f"{_bool(rec.decision_correct)},{fmt(rec.stake)},{rec.n_participants},"
-                     f"{rec.n_forced},{rec.n_add},{rec.n_reject},{','.join(_g12(row.tolist()))}\n")
+        for k, (good, add, ok, stake, n_eligible, n_forced, n_add, n_reject, row) in enumerate(
+                zip(*(column.tolist() for column in columns))):
+            fh.write(f"{k},{_bool(good)},{'add' if add else 'reject'},{_bool(ok)},{fmt(stake)},"
+                     f"{n_eligible},{n_forced},{n_add},{n_reject},{','.join(_g12(row))}\n")
 
 
-def write_summary_json(
-    path: Path, config: RunConfig, trace: list[tuple[RoundRecord, np.ndarray]]
-) -> None:
+def write_summary_json(path: Path, config: RunConfig, trace: Trace) -> None:
     doc = {
         "seed": config.base_seed,
         "params": params_to_dict(config.sim_params),
-        "rounds": len(trace),
+        "rounds": len(trace.rows),
     }
-    if trace:
-        # The roster is the first draw on the run's stream (see voters.py),
-        # so replaying it gives the class sizes of the run.
-        params = config.sim_params
-        state = init_registry(params, [sample_roster(params, RngStream(config.base_seed))])
-        final = dict(zip(METRIC_NAMES, trace[-1][1].tolist()))
+    if len(trace.rows):
+        final = dict(zip(METRIC_NAMES, trace.rows[-1].tolist()))
         doc["class_counts"] = {
-            cls.value: n for cls, n in zip(CLASS_ORDER, state.class_sizes[0].tolist())
+            cls.value: n for cls, n in zip(CLASS_ORDER, trace.class_sizes.tolist())
         }
         doc["final"] = {
             "lurp_raw": int(final["lurp_raw"]),

@@ -13,16 +13,9 @@ import pytest
 
 from tcrlab.analysis import AnalysisParams, tokens_informed_engaged
 from tcrlab.cli import main
-from tcrlab.harness import (
-    METRIC_NAMES,
-    RunConfig,
-    derive_seed,
-    replicate,
-    run_simulation,
-    validate_against_analysis,
-)
+from tcrlab.harness import METRIC_NAMES, derive_seed, replicate, validate_against_analysis
 from tcrlab.params import SimParams
-from tcrlab.protocol import Decision
+from tcrlab.protocol import init_registry, run_round
 from tcrlab.voters import RngStream, sample_roster
 
 IDX = {name: i for i, name in enumerate(METRIC_NAMES)}
@@ -361,28 +354,28 @@ def test_criterion_10_degenerate_reductions():
         [(True, True)] * 30 + [(True, False)] * 20
         + [(False, True)] * 25 + [(False, False)] * 25
     )
-    engaged = frozenset(range(50))
-    informed = frozenset(range(30)) | frozenset(range(50, 75))
-    trace = run_simulation(RunConfig(params, base_seed=55), roster=roster)
-    ok = len(trace) == 1000
-    for record, _ in trace:
+    engaged = np.array([e for e, _ in roster])
+    informed = np.array([i for _, i in roster])
+    # A supplied roster consumes no draws, so the rounds draw from the
+    # stream's start, as a run seeded 55 with this roster would.
+    rng = RngStream(55)
+    state = init_registry(params, [roster])
+    ok = True
+    for _ in range(params.num_items):
+        rnd = run_round(state, [rng])
+        add, reject = rnd.add[0], rnd.eligible[0] & ~rnd.add[0]
         # engaged always intend to vote, disengaged never do
-        ok = ok and record.intended_participants == engaged
-        correct_side = Decision.ADD if record.item.is_good else Decision.REJECT
-        correct_voters = (
-            record.add_voters if correct_side is Decision.ADD else record.reject_voters
-        )
-        incorrect_voters = (
-            record.reject_voters if correct_side is Decision.ADD else record.add_voters
-        )
+        ok = ok and np.array_equal(rnd.intends[0], engaged)
+        correct_voters, incorrect_voters = (add, reject) if rnd.item_good[0] else (reject, add)
         # informed voters always correct, uninformed always incorrect
-        ok = ok and correct_voters == (record.inflation_applied_to & informed)
-        ok = ok and incorrect_voters == (record.inflation_applied_to - informed)
+        ok = ok and np.array_equal(correct_voters, rnd.eligible[0] & informed)
+        ok = ok and np.array_equal(incorrect_voters, rnd.eligible[0] & ~informed)
         if not ok:
             break
+    ok = ok and state.round_index == 1000
     check(
         10,
         "degenerate-parameter reductions",
         ok,
-        f"verified over {len(trace)} rounds",
+        f"verified over {state.round_index} rounds",
     )

@@ -18,6 +18,7 @@ from tcrlab import cli, harness
 from tcrlab.analysis import AnalysisParams
 from tcrlab.harness import (
     METRIC_NAMES,
+    ROUND_COLUMNS,
     RunConfig,
     SweepSpec,
     aggregate_metrics,
@@ -31,10 +32,6 @@ from tcrlab.params import AnalysisSigmaStake, ConfigurationError, ProtocolStake,
 from tcrlab.protocol import InvariantViolation
 
 IDX = {name: i for i, name in enumerate(METRIC_NAMES)}
-
-
-def metrics(trace):
-    return np.array([row for _, row in trace])
 
 
 @pytest.fixture(autouse=True)
@@ -75,29 +72,30 @@ def starts(events):
 class TestRunSimulation:
     def test_default_run_shape(self):
         trace = run_simulation(RunConfig(SimParams(), base_seed=42))
-        assert len(trace) == 50
-        record, row = trace[-1]
-        assert record.round_index == 49
-        assert row.shape == (len(METRIC_NAMES),)
+        assert trace.rows.shape == (50, len(METRIC_NAMES))
+        assert {name: column.shape for name, column in trace.rounds.items()} == dict.fromkeys(
+            ROUND_COLUMNS, (50,))
+        assert trace.class_sizes.sum() == 100
 
     def test_zero_rounds(self):
         trace = run_simulation(RunConfig(SimParams(num_items=0), base_seed=1))
-        assert trace == []
+        assert trace.rows.shape == (0, len(METRIC_NAMES))
+        assert all(column.shape == (0,) for column in trace.rounds.values())
 
     def test_deterministic(self):
         config = RunConfig(SimParams(), base_seed=7)
-        a = metrics(run_simulation(config))
-        b = metrics(run_simulation(config))
+        a = run_simulation(config).rows
+        b = run_simulation(config).rows
         assert np.array_equal(a, b)
 
     def test_seed_changes_trace(self):
-        a = metrics(run_simulation(RunConfig(SimParams(), base_seed=1)))
-        b = metrics(run_simulation(RunConfig(SimParams(), base_seed=2)))
+        a = run_simulation(RunConfig(SimParams(), base_seed=1)).rows
+        b = run_simulation(RunConfig(SimParams(), base_seed=2)).rows
         assert not np.array_equal(a, b)
 
     def test_no_inflation_conserves_total(self):
         trace = run_simulation(RunConfig(SimParams(inflation_rate=0.0), base_seed=3))
-        totals = metrics(trace)[:, IDX["t_total"]]
+        totals = trace.rows[:, IDX["t_total"]]
         assert max(totals) - min(totals) <= 1e-9 * 10000
 
 
@@ -369,8 +367,7 @@ class TestBatchingInvariance:
     def test_replicate_matches_run_simulation(self, name, replications):
         params = BATCH_CELLS[name]
         expected = np.array([
-            metrics(run_simulation(RunConfig(params, base_seed=derive_seed(9, 3, rep))))
-            .reshape(params.num_items, len(METRIC_NAMES))
+            run_simulation(RunConfig(params, base_seed=derive_seed(9, 3, rep))).rows
             for rep in range(replications)
         ])
         for jobs in (1, 2):
@@ -382,14 +379,17 @@ class TestBatchingInvariance:
     def test_chunked_class_sums_match_an_unchunked_run(self, monkeypatch, slots):
         """Stacks of 1 round, of 7 rounds for the block and 21 for the
         single run (each with a part-filled last stack), and of every round
-        give the same bytes."""
+        give the same bytes, and the single run the same round columns."""
         params = SimParams(num_voters=40, num_items=50, stake_policy=AnalysisSigmaStake(0.1))
         monkeypatch.setattr(harness, "HISTORY_SLOTS", 2**40)
         expected = replicate(params, 3, base_seed=4)
-        trace = metrics(run_simulation(RunConfig(params, base_seed=8)))
+        trace = run_simulation(RunConfig(params, base_seed=8))
         monkeypatch.setattr(harness, "HISTORY_SLOTS", slots)
         assert replicate(params, 3, base_seed=4).tobytes() == expected.tobytes()
-        assert metrics(run_simulation(RunConfig(params, base_seed=8))).tobytes() == trace.tobytes()
+        chunked = run_simulation(RunConfig(params, base_seed=8))
+        assert chunked.rows.tobytes() == trace.rows.tobytes()
+        for name in ROUND_COLUMNS:
+            assert chunked.rounds[name].tobytes() == trace.rounds[name].tobytes(), name
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("grid", [

@@ -15,7 +15,7 @@ WEALTH = [f"wealth_{cls.value}" for cls in CLASS_ORDER]
 def snapshot(state):
     """The metric rows of a block's current state."""
     return metric_rows(state.clamp_value, state.class_sizes, state.v_correct,
-                       state.round_index, state.total_tokens, state.class_tokens())
+                       state.round_index, state.balances.sum(axis=1), state.class_tokens())
 
 
 def named(rows):

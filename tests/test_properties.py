@@ -38,14 +38,14 @@ def test_round_moves_only_participants_and_settles_zero_sum(case):
     state = init_registry(params, [roster])
     state.balances[0] = balances
     before = state.balances[0].copy()
-    record = run_round(state, [RngStream(seed)]).record()
+    rnd = run_round(state, [RngStream(seed)])
     after = state.balances[0]
-    voted = np.zeros(params.num_voters, dtype=bool)
-    voted[list(record.inflation_applied_to)] = True
+    voted = rnd.eligible[0]
+    n_add, n_reject = rnd.n_add[0], rnd.n_eligible[0] - rnd.n_add[0]
     assert after[~voted].tobytes() == before[~voted].tobytes()
     if params.inflation_rate == 0.0:
         assert abs(after.sum() - before.sum()) <= 1e-9 * max(before.sum(), 1.0)
-    if record.n_add == record.n_reject or 0 in (record.n_add, record.n_reject):
+    if n_add == n_reject or 0 in (n_add, n_reject):
         # A tie or a unanimous round moves no stake; only inflation is left.
         inflated = before * np.where(voted, 1.0 + params.inflation_rate, 1.0)
         assert np.allclose(after, inflated, rtol=1e-9, atol=0.0)
@@ -76,32 +76,47 @@ def sim_configs(draw):
 def test_full_run_invariants(config):
     # conservation, inflation bookkeeping and non-negativity are enforced
     # inside run_round itself; a finishing run already certifies them.
+    params = config.sim_params
     trace = run_simulation(config)
-    assert len(trace) == config.sim_params.num_items
-    for r, (record, row) in enumerate(trace):
+    assert len(trace.rows) == params.num_items
+    assert trace.class_sizes.sum() == params.num_voters
+    for row in trace.rows:
         row = dict(zip(METRIC_NAMES, row.tolist()))
-        assert record.round_index == r
         assert row["lurp_clamped"] == max(0, row["lurp_raw"])
         tokens = sum(row[f"tokens_{cls.value}"] for cls in VoterClass)
         assert abs(tokens - row["t_total"]) <= 1e-9 * max(row["t_total"], 1.0)
-        assert record.add_voters.isdisjoint(record.reject_voters)
-        assert record.add_voters | record.reject_voters == record.inflation_applied_to
-        assert (record.add_voters | record.reject_voters).isdisjoint(
-            record.forced_abstentions
-        )
-        assert record.intended_participants == (
-            record.inflation_applied_to | record.forced_abstentions
-        )
-    if config.sim_params.inflation_rate == 0.0:
-        totals = [row[METRIC_NAMES.index("t_total")] for _, row in trace]
+    c = trace.rounds
+    assert all(len(column) == params.num_items for column in c.values())
+    assert (0 <= c["n_add"]).all() and (c["n_add"] <= c["n_eligible"]).all()
+    assert (c["n_eligible"] <= c["n_intends"]).all()
+    assert (c["n_intends"] <= params.num_voters).all()
+    assert np.array_equal(c["decision_add"], c["n_add"] > c["n_eligible"] - c["n_add"])
+    assert np.array_equal(c["v_correct"], np.cumsum(c["decision_add"] == c["item_good"]))
+    assert np.array_equal(trace.rows[:, METRIC_NAMES.index("t_total")], c["total"])
+    # The same run, round by round: its masks give the trace's counts.
+    rng = RngStream(config.base_seed)
+    state = init_registry(params, [sample_roster(params, rng)])
+    for k in range(params.num_items):
+        rnd = run_round(state, [rng])
+        intends, eligible, add = rnd.intends[0], rnd.eligible[0], rnd.add[0]
+        assert not (add & ~eligible).any() and not (eligible & ~intends).any()
+        forced = intends & ~eligible
+        assert forced.sum() == c["n_intends"][k] - c["n_eligible"][k]
+        assert (intends.sum(), eligible.sum(), add.sum()) == (
+            c["n_intends"][k], c["n_eligible"][k], c["n_add"][k])
+        assert (rnd.item_good[0], rnd.decision_add[0]) == (
+            c["item_good"][k], c["decision_add"][k])
+        assert rnd.stake[0] == c["stake"][k]
+    if params.inflation_rate == 0.0:
+        totals = trace.rows[:, METRIC_NAMES.index("t_total")]
         assert max(totals) - min(totals) <= 1e-9 * max(totals)
 
 
 @settings(max_examples=60, deadline=None)
 @given(sim_configs())
 def test_runs_are_deterministic(config):
-    a = [row for _, row in run_simulation(config)]
-    b = [row for _, row in run_simulation(config)]
+    a = run_simulation(config).rows
+    b = run_simulation(config).rows
     assert np.array_equal(a, b, equal_nan=True)
 
 
@@ -117,7 +132,7 @@ def test_roster_classes_partition_voters(n, p_e, p_i, seed):
     state = init_registry(params, [roster])
     tokens = state.class_tokens()[0]
     assert state.class_sizes.sum() == n
-    assert tokens.sum() == state.total_tokens[0]
+    assert tokens.sum() == state.balances.sum(axis=1)[0]
     # (is_engaged, is_informed) of each class, in VoterClass order: IE, ID, UE, UD.
     flags = [(True, True), (False, True), (True, False), (False, False)]
     for c, cls_flags in enumerate(flags):

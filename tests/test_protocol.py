@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from tcrlab.params import AnalysisSigmaStake, ConfigurationError, SimParams
-from tcrlab.protocol import (
-    Decision,
-    InvariantViolation,
-    init_registry,
-    required_stake,
-    run_round,
-)
+from tcrlab.protocol import InvariantViolation, init_registry, required_stake, run_round
 from tcrlab.voters import RngStream
 
 # Engaged voters always intend and disengaged never do; informed voters are
@@ -28,21 +22,25 @@ def make_state(n=100, initial_tokens=100.0, roster=None, **kwargs):
 
 
 def one_round(state, seed=0):
-    """Run one round of a one-replication block; returns its audit."""
-    return run_round(state, [RngStream(seed)]).record()
+    """Run one round of a one-replication block; returns its ``Round``."""
+    return run_round(state, [RngStream(seed)])
 
+
+def ids(mask):
+    """Voter ids of a (N,) mask."""
+    return np.flatnonzero(mask).tolist()
 
 
 class TestInitRegistry:
     def test_table_defaults(self):
         state = make_state(n=100, initial_tokens=100.0)
-        assert state.total_tokens.tolist() == [10000.0]
+        assert state.balances.sum(axis=1).tolist() == [10000.0]
         assert state.round_index == 0
         assert state.v_correct.tolist() == [0]
 
     def test_single_voter(self):
         state = make_state(n=1)
-        assert state.total_tokens.tolist() == [100.0]
+        assert state.balances.sum(axis=1).tolist() == [100.0]
 
     def test_zero_initial_tokens_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -85,18 +83,18 @@ class TestClassTokens:
 class TestRequiredStake:
     def test_protocol_round_zero_identity(self):
         state = make_state(n=100, initial_tokens=100.0, initial_stake=5.0)
-        assert required_stake(state, state.total_tokens) == pytest.approx([5.0])
+        assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([5.0])
 
     def test_protocol_tracks_total(self):
         state = make_state(n=100, initial_tokens=100.0, initial_stake=5.0)
         state.balances[0, 0] += 100.0  # total now 10100
-        assert required_stake(state, state.total_tokens) == pytest.approx([5.05])
+        assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([5.05])
 
     def test_protocol_per_replication(self):
         params = SimParams(num_voters=2, initial_tokens=100.0, initial_stake=5.0)
         state = init_registry(params, [[(True, True)] * 2] * 3)
         state.balances[1] = [300.0, 100.0]
-        assert required_stake(state, state.total_tokens) == pytest.approx([5.0, 10.0, 5.0])
+        assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([5.0, 10.0, 5.0])
 
     def test_analysis_sigma_uses_uninformed_engaged_mean(self):
         params = SimParams(
@@ -104,17 +102,17 @@ class TestRequiredStake:
         )
         roster = [(True, True), (True, False), (True, False), (False, False)]
         state = init_registry(params, [roster])
-        assert required_stake(state, state.total_tokens) == pytest.approx([5.0])
+        assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([5.0])
         # only engaged-uninformed balances matter
         state.balances[0, 0] = 500.0
-        assert required_stake(state, state.total_tokens) == pytest.approx([5.0])
+        assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([5.0])
         state.balances[0, 1] = 300.0
-        assert required_stake(state, state.total_tokens) == pytest.approx([10.0])
+        assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([10.0])
 
     def test_analysis_sigma_falls_back_to_all_voters(self):
         params = SimParams(num_voters=2, stake_policy=AnalysisSigmaStake(sigma=0.1))
         state = init_registry(params, [[(True, True), (False, True)]])
-        assert required_stake(state, state.total_tokens) == pytest.approx([10.0])
+        assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([10.0])
 
     def test_analysis_sigma_per_replication(self):
         # Replication 0 has an engaged-uninformed voter, replication 1 none.
@@ -122,7 +120,7 @@ class TestRequiredStake:
         state = init_registry(params, [[(True, False), (True, True)],
                                        [(True, True), (False, True)]])
         state.balances[:] = [[50.0, 150.0], [50.0, 150.0]]
-        assert required_stake(state, state.total_tokens) == pytest.approx([5.0, 10.0])
+        assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([5.0, 10.0])
 
 
 class TestSettlement:
@@ -130,37 +128,37 @@ class TestSettlement:
 
     def test_split_rule_arithmetic(self):
         state = make_state(n=60, roster=[ADD] * 35 + [REJ] * 25, inflation_rate=0.0, **SURE)
-        record = one_round(state)
-        assert record.decision is Decision.ADD
-        assert record.per_winner_payout == pytest.approx(300.0 / 35)
+        rnd = one_round(state)
+        assert rnd.decision_add[0]
+        assert rnd.payout[0] == pytest.approx(300.0 / 35)
         assert np.allclose(state.balances[0, :35], 100.0 + 300.0 / 35 - 5.0)
         assert np.allclose(state.balances[0, 35:], 95.0)
 
     def test_conservation(self):
         roster = [REJ] * 20 + [ADD] * 25 + [OUT] * 5
         state = make_state(n=50, roster=roster, initial_stake=7.3, inflation_rate=0.0, **SURE)
-        before = state.total_tokens
-        record = one_round(state)
-        assert record.stake == pytest.approx(7.3)
-        assert state.total_tokens == pytest.approx(before, rel=1e-9)
+        before = state.balances.sum(axis=1)
+        rnd = one_round(state)
+        assert rnd.stake[0] == pytest.approx(7.3)
+        assert state.balances.sum(axis=1) == pytest.approx(before, rel=1e-9)
 
-    @pytest.mark.parametrize("n_add, n_rej, decision", [
-        (35, 25, Decision.ADD), (30, 30, Decision.REJECT), (0, 0, Decision.REJECT),
-        (10, 40, Decision.REJECT)],
+    @pytest.mark.parametrize("n_add, n_rej, decision_add", [
+        (35, 25, True), (30, 30, False), (0, 0, False), (10, 40, False)],
         ids=["strict-majority-adds", "tie-rejects", "no-participant-rejects", "reject-majority"])
-    def test_decision_and_payout_follow_the_strict_majority(self, n_add, n_rej, decision):
+    def test_decision_and_payout_follow_the_strict_majority(self, n_add, n_rej, decision_add):
         roster = [ADD] * n_add + [REJ] * n_rej + [OUT] * 10
         state = make_state(n=len(roster), roster=roster, inflation_rate=0.0, **SURE)
-        record = one_round(state)
-        assert (record.n_add, record.n_reject, record.decision) == (n_add, n_rej, decision)
+        rnd = one_round(state)
+        assert (rnd.n_add[0], rnd.n_eligible[0] - rnd.n_add[0], rnd.decision_add[0]) == (
+            n_add, n_rej, decision_add)
         if n_add == n_rej:
-            assert record.per_winner_payout == record.stake
+            assert rnd.payout[0] == rnd.stake[0]
             assert state.balances.tolist() == [[100.0] * len(roster)]
             return
         n_win = max(n_add, n_rej)
         payout = 5.0 * (n_add + n_rej) / n_win
-        assert record.per_winner_payout == pytest.approx(payout)
-        won = np.array([decision is Decision.ADD] * n_add + [decision is Decision.REJECT] * n_rej)
+        assert rnd.payout[0] == pytest.approx(payout)
+        won = np.array([decision_add] * n_add + [not decision_add] * n_rej)
         assert np.allclose(state.balances[0, :n_add + n_rej],
                            np.where(won, 100.0 + payout - 5.0, 95.0))
         assert state.balances[0, n_add + n_rej:].tolist() == [100.0] * 10
@@ -169,15 +167,15 @@ class TestSettlement:
         # The stake is every voter's whole balance.
         state = make_state(n=3, roster=[ADD, ADD, REJ], initial_stake=100.0,
                            inflation_rate=0.0, **SURE)
-        record = one_round(state)
-        assert record.stake == 100.0
-        assert record.decision is Decision.ADD and 2 in record.inflation_applied_to
+        rnd = one_round(state)
+        assert rnd.stake[0] == 100.0
+        assert rnd.decision_add[0] and rnd.eligible[0, 2]
         assert state.balances.tolist() == [[150.0, 150.0, 0.0]]
 
-    @pytest.mark.parametrize("side, decision", [(ADD, Decision.ADD), (REJ, Decision.REJECT)])
-    def test_unanimous_round_changes_no_balance(self, side, decision):
+    @pytest.mark.parametrize("side, decision_add", [(ADD, True), (REJ, False)])
+    def test_unanimous_round_changes_no_balance(self, side, decision_add):
         state = make_state(n=40, roster=[side] * 40, inflation_rate=0.0, **SURE)
-        assert one_round(state).decision is decision
+        assert one_round(state).decision_add[0] == decision_add
         assert state.balances.tolist() == [[100.0] * 40]
 
     def test_rows_settle_independently(self):
@@ -233,10 +231,9 @@ class TestInflation:
         state = make_state(n=50, inflation_rate=0.05)
         state.balances[0] = np.linspace(1.0, 500.0, 50)
         before = state.balances[0].copy()
-        record = one_round(state, seed=11)
-        voted = sorted(record.inflation_applied_to)
+        voted = ids(one_round(state, seed=11).eligible[0])
         assert 0 < len(voted) < 50
-        assert state.total_tokens == pytest.approx(
+        assert state.balances.sum(axis=1) == pytest.approx(
             before.sum() + 0.05 * before[voted].sum(), rel=1e-12)
 
 
@@ -245,24 +242,22 @@ class TestRunRound:
         # 35 informed and 25 uninformed engaged voters, 40 disengaged
         roster = [(True, True)] * 35 + [(True, False)] * 25 + [(False, True)] * 40
         state = make_state(n=100, roster=roster, **SURE)
-        record = one_round(state)
-        assert record.intended_participants == frozenset(range(60))
-        assert record.add_voters == frozenset(range(35))
-        assert (record.n_add, record.n_reject, record.n_participants) == (35, 25, 60)
-        assert record.decision is Decision.ADD
-        assert record.decision_correct
-        assert record.item.item_id == record.round_index == 0
+        rnd = one_round(state)
+        assert ids(rnd.intends[0]) == list(range(60))
+        assert ids(rnd.add[0]) == list(range(35))
+        assert (rnd.n_add[0], rnd.n_eligible[0] - rnd.n_add[0], rnd.n_eligible[0]) == (35, 25, 60)
+        assert rnd.item_good[0] and rnd.decision_add[0]
+        assert rnd.round_index == 0
         assert state.v_correct.tolist() == [1]
         assert state.round_index == 1
-        assert record.add_voters.isdisjoint(record.reject_voters)
+        assert not (rnd.add & ~rnd.eligible).any()
 
     def test_zero_participation_rejects_bad_item(self):
         state = make_state(n=10, **{**SURE, "p_vote_engaged": 0.0, "p_item_good": 0.0})
         before = state.balances.copy()
-        record = one_round(state)
-        assert record.intended_participants == frozenset()
-        assert record.decision is Decision.REJECT
-        assert record.decision_correct
+        rnd = one_round(state)
+        assert ids(rnd.intends[0]) == []
+        assert not rnd.item_good[0] and not rnd.decision_add[0]
         assert state.v_correct.tolist() == [1]
         assert np.array_equal(state.balances, before)
 
@@ -273,9 +268,9 @@ class TestRunRound:
         state = make_state(n=10, roster=roster, **SURE)
         state.balances[0, 3] = 1.0
         rng = RngStream(5)
-        record = run_round(state, [rng]).record()
-        assert record.inflation_applied_to == frozenset({0, 1, 2})
-        assert record.add_voters | record.reject_voters == frozenset({0, 1, 2})
+        rnd = run_round(state, [rng])
+        assert ids(rnd.eligible[0]) == [0, 1, 2]
+        assert ids(rnd.add[0] | (rnd.eligible[0] & ~rnd.add[0])) == [0, 1, 2]
         replay = RngStream(5)
         replay.uniform(1 + 10 + 3)
         assert rng.uniform(1) == replay.uniform(1)
@@ -283,21 +278,23 @@ class TestRunRound:
     def test_forced_abstention_recorded_and_uninflated(self):
         state = make_state(n=4, inflation_rate=0.02, **SURE)
         state.balances[0, 3] = 1.0  # below the required stake
-        record = one_round(state)
-        assert record.intended_participants == frozenset(range(4))
-        assert record.forced_abstentions == frozenset({3})
-        assert record.n_forced == 1
-        assert 3 not in record.inflation_applied_to
+        rnd = one_round(state)
+        assert ids(rnd.intends[0]) == [0, 1, 2, 3]
+        assert ids(rnd.intends[0] & ~rnd.eligible[0]) == [3]
+        h = state.history
+        assert (h.n_intends[0, 0], h.n_eligible[0, 0]) == (4, 3)
+        assert not rnd.eligible[0, 3]
         assert state.balances[0, 3] == pytest.approx(1.0)
         assert np.allclose(state.balances[0, :3], 102.0)
 
     def test_tie_round_is_wealth_neutral(self):
         roster = [(True, True)] * 5 + [(True, False)] * 5
         state = make_state(n=10, roster=roster, inflation_rate=0.0, **SURE)
-        record = one_round(state)
-        assert len(record.add_voters) == len(record.reject_voters) == 5
-        assert record.decision is Decision.REJECT
-        assert record.per_winner_payout == record.stake
+        rnd = one_round(state)
+        assert ids(rnd.add[0]) == [0, 1, 2, 3, 4]
+        assert ids(rnd.eligible[0] & ~rnd.add[0]) == [5, 6, 7, 8, 9]
+        assert not rnd.decision_add[0]
+        assert rnd.payout[0] == rnd.stake[0]
         assert state.balances.tolist() == [[100.0] * 10]
 
 

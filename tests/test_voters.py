@@ -9,9 +9,12 @@ from tcrlab.voters import RngStream, sample_roster
 
 
 def one_round(roster, seed=0, **kwargs):
-    """Run one round over a fixed roster; every intending voter can cover the stake."""
+    """Run one round over a fixed roster; every intending voter can cover the stake.
+
+    Returns the ``Round`` of the one-replication block.
+    """
     state = init_registry(SimParams(num_voters=len(roster), **kwargs), [roster])
-    return run_round(state, [RngStream(seed)]).record()
+    return run_round(state, [RngStream(seed)])
 
 
 class TestRngStream:
@@ -73,43 +76,43 @@ class TestSampleRoster:
 
 class TestDecideParticipation:
     def test_engaged_always_votes_at_one(self):
-        record = one_round([(True, True)] * 100, p_vote_engaged=1.0)
-        assert record.intended_participants == frozenset(range(100))
+        rnd = one_round([(True, True)] * 100, p_vote_engaged=1.0)
+        assert np.flatnonzero(rnd.intends[0]).tolist() == list(range(100))
 
     def test_disengaged_never_votes_at_zero(self):
-        record = one_round([(False, True)] * 100, p_vote_disengaged=0.0)
-        assert record.intended_participants == frozenset()
+        rnd = one_round([(False, True)] * 100, p_vote_disengaged=0.0)
+        assert np.flatnonzero(rnd.intends[0]).tolist() == []
 
     def test_frequency_matches_probability(self):
         # 10000 draws at p=0.8: 3 sigma band is +-0.012
-        record = one_round([(True, True)] * 10000, seed=99, p_vote_engaged=0.8)
-        assert abs(len(record.intended_participants) / 10000 - 0.8) <= 0.012
+        rnd = one_round([(True, True)] * 10000, seed=99, p_vote_engaged=0.8)
+        assert abs(rnd.intends[0].sum() / 10000 - 0.8) <= 0.012
 
 
 
 class TestCastVote:
     def test_informed_certain_correct_good_item(self):
-        record = one_round([(True, True)] * 10, p_correct_informed=1.0, p_item_good=1.0,
-                           p_vote_engaged=1.0)
-        assert record.add_voters == frozenset(range(10))
+        rnd = one_round([(True, True)] * 10, p_correct_informed=1.0, p_item_good=1.0,
+                        p_vote_engaged=1.0)
+        assert np.flatnonzero(rnd.add[0]).tolist() == list(range(10))
 
     def test_uninformed_certain_incorrect_good_item(self):
-        record = one_round([(True, False)] * 10, p_correct_uninformed=0.0,
-                           p_item_good=1.0, p_vote_engaged=1.0)
-        assert record.reject_voters == frozenset(range(10))
+        rnd = one_round([(True, False)] * 10, p_correct_uninformed=0.0,
+                        p_item_good=1.0, p_vote_engaged=1.0)
+        assert np.flatnonzero(rnd.eligible[0] & ~rnd.add[0]).tolist() == list(range(10))
 
     def test_reject_frequency_on_bad_item(self):
         # informed at 0.85 correct on a bad item: Reject with p=0.85,
         # 3 sigma over 10000 draws is +-0.011
-        record = one_round([(True, True)] * 10000, seed=321, p_correct_informed=0.85,
-                           p_item_good=0.0, p_vote_engaged=1.0)
-        assert len(record.inflation_applied_to) == 10000
-        assert abs(len(record.reject_voters) / 10000 - 0.85) <= 0.011
+        rnd = one_round([(True, True)] * 10000, seed=321, p_correct_informed=0.85,
+                        p_item_good=0.0, p_vote_engaged=1.0)
+        assert rnd.n_eligible[0] == rnd.eligible[0].sum() == 10000
+        assert abs((rnd.n_eligible[0] - rnd.n_add[0]) / 10000 - 0.85) <= 0.011
 
     @pytest.mark.parametrize("is_good", [True, False])
     def test_correctness_symmetric_in_item_polarity(self, is_good):
-        record = one_round([(True, True)] * 10, p_correct_informed=1.0,
-                           p_item_good=float(is_good), p_vote_engaged=1.0)
-        assert record.item.is_good is is_good
-        side = record.add_voters if is_good else record.reject_voters
-        assert side == frozenset(range(10))
+        rnd = one_round([(True, True)] * 10, p_correct_informed=1.0,
+                        p_item_good=float(is_good), p_vote_engaged=1.0)
+        assert rnd.item_good[0] == is_good
+        side = rnd.add[0] if is_good else rnd.eligible[0] & ~rnd.add[0]
+        assert np.flatnonzero(side).tolist() == list(range(10))
