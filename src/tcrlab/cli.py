@@ -137,7 +137,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = sweep_spec_from_file(args.spec)
-    agg = run_sweep(spec, jobs=max(1, args.jobs))
+    agg = run_sweep(spec, jobs=args.jobs)
     out = _out_dir(args.out)
     write_aggregate_csv(out / "aggregate.csv", agg)
     write_aggregate_json(out / "aggregate.json", agg)

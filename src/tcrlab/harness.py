@@ -281,6 +281,8 @@ def _replicate_cells(
     ``BrokenProcessPool`` reaches the caller. Results are placed by (cell,
     replication), so the output is identical for any job count.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     workers = max(1, min(jobs, _usable_cpus(), replications * len(cells)))
     groups: dict[tuple, list] = {}
     for position, (cell_index, params) in enumerate(cells):

@@ -156,6 +156,10 @@ def test_non_finite_input_exits_2_with_one_line(tmp_path, capsys, config, argv):
         # Python 3.10's csv rejects the NUL; later versions read it as a bad number.
         (",".join(TRACE_COLUMNS) + "\n\0" + ",1" * (len(TRACE_COLUMNS) - 1) + "\n",
          ["plot", "{config}", "--metric", "value"], "cfg.json: "),
+        ('{"grid": {"p_informed": [0.5]}, "replications": 1}', ["sweep", "{config}", "--jobs", "0"],
+         "jobs must be >= 1, got 0\n"),
+        ('{"grid": {"p_informed": [0.5]}, "replications": 1}',
+         ["sweep", "{config}", "--jobs", "-3"], "jobs must be >= 1, got -3\n"),
     ],
 )
 @pytest.mark.filterwarnings("error")

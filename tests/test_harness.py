@@ -130,6 +130,11 @@ class TestReplicate:
         with pytest.raises(ConfigurationError):
             replicate(SimParams(), 0, base_seed=0)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_invalid_jobs(self, jobs):
+        with pytest.raises(ConfigurationError, match=f"jobs must be >= 1, got {jobs}"):
+            replicate(SimParams(num_items=1), 1, base_seed=0, jobs=jobs)
+
     def test_pool_capped_by_cpus_and_replications(self, pool_events, monkeypatch):
         params = SimParams(num_items=2, num_voters=5)
         serial = replicate(params, 8, base_seed=0, jobs=1)
