@@ -8,6 +8,7 @@ them or in which order.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import os
 import threading
@@ -38,7 +39,7 @@ from .protocol import (
     init_registry,
     run_round,
 )
-from .voters import RngStream, sample_roster
+from .voters import ReadAhead, RngStream, sample_roster
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -107,10 +108,20 @@ def _advance(state: TcrState, rngs: list[RngStream]) -> tuple[np.ndarray, dict[s
     once per history, when it is full or the run ends, every recorded round
     is checked and copied out: its ``ROUND_COLUMNS`` slots and, in one pass,
     its class tokens. The rows are computed once, at the end.
+
+    A block of at least READ_AHEAD_ROWS replications and at most
+    READ_AHEAD_VOTERS voters, where two or more of its rounds fit
+    READ_AHEAD_SLOTS, draws its streams ahead through a ``ReadAhead``; when
+    the run ends, each stream is rewound by the draws its row did not read,
+    so the streams end where one call per draw vector leaves them.
     """
     replications, rounds = len(rngs), state.num_items
     depth = max(1, min(rounds, HISTORY_SLOTS // state.balances.size))
     history = state.history = History(depth, *state.balances.shape)
+    n = state.num_voters
+    ahead = min(rounds, READ_AHEAD_SLOTS // (replications * (2 * n + 1)))
+    if replications >= READ_AHEAD_ROWS and n <= READ_AHEAD_VOTERS and ahead >= 2:
+        state.read_ahead = ReadAhead(rngs, n, rounds, ahead)
     columns = {name: np.empty((replications, rounds), getattr(history, name).dtype)
                for name in ROUND_COLUMNS}
     tokens = np.empty((replications, rounds, len(CLASS_ORDER)))
@@ -124,6 +135,9 @@ def _advance(state: TcrState, rngs: list[RngStream]) -> tuple[np.ndarray, dict[s
             for name, column in columns.items():
                 column[:, first:last] = getattr(history, name)[:done].T
             tokens[:, first:last] = state.class_tokens(history.balances[:done]).swapaxes(0, 1)
+    if state.read_ahead is not None:
+        state.read_ahead.close()
+        state.read_ahead = None
     rows = metric_rows(state.clamp_value[:, None], state.class_sizes[:, None],
                        columns["v_correct"], np.arange(1, rounds + 1), columns["total"], tokens)
     return rows, columns
@@ -152,6 +166,16 @@ BLOCK_SLOTS = 2**18
 # Voter slots (rounds x replications x voters) of the balances a block keeps
 # between checks and class-token sums: 512 KB of float64.
 HISTORY_SLOTS = 2**16
+# Draws (replications x draws per replication) a block's read-ahead buffer
+# holds: 2 MB of float64. It bounds how many rounds a block draws ahead, at
+# the worst case of 2N + 1 draws a replication a round. Blocks of at least
+# READ_AHEAD_ROWS replications and at most READ_AHEAD_VOTERS voters, of which
+# two rounds fit, read ahead: that saves about two stream calls a replication
+# a round, and on shorter or wider blocks the buffer's copies and gathers
+# cost more than the calls they save.
+READ_AHEAD_SLOTS = 2**18
+READ_AHEAD_ROWS = 16
+READ_AHEAD_VOTERS = 200
 # Voters of one replication. A block never splits a replication, so this
 # bound keeps every block within BLOCK_SLOTS.
 MAX_VOTERS = BLOCK_SLOTS
@@ -218,14 +242,18 @@ class _SharedPool:
     A call that needs another worker count first shuts the old pool down and
     waits for it, so at most one pool is alive and no process forks while an
     old pool's threads still run. Workers start with the pool, so they do
-    not see later changes to this process's module state. The pool shuts
-    down at interpreter exit.
+    not see later changes to this process's module state. The first pool
+    started registers an ``atexit`` hook that shuts the pool down and drops
+    it: ``atexit`` runs after the pool's own thread exit hook and before
+    module teardown, where an executor still alive would be collected with
+    the modules its exit callback needs already cleared.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._executor: ProcessPoolExecutor | None = None
         self._workers = 0
+        self._exit_hook = False
 
     def map(self, workers: int, tasks: list) -> Iterator[np.ndarray]:
         """``_block_task`` of each task, in order, on ``workers`` processes.
@@ -236,6 +264,9 @@ class _SharedPool:
         with self._lock:
             if self._executor is None or self._workers != workers:
                 self._shutdown()
+                if not self._exit_hook:
+                    atexit.register(self.close)
+                    self._exit_hook = True
                 self._executor = _start_pool(workers)
                 self._workers = workers
             return self._executor.map(_block_task, tasks)

@@ -29,7 +29,8 @@ from tcrlab.harness import (
     validate_against_analysis,
 )
 from tcrlab.params import AnalysisSigmaStake, ConfigurationError, ProtocolStake, SimParams
-from tcrlab.protocol import InvariantViolation
+from tcrlab.protocol import InvariantViolation, init_registry
+from tcrlab.voters import ReadAhead, RngStream, sample_roster
 
 IDX = {name: i for i, name in enumerate(METRIC_NAMES)}
 
@@ -206,19 +207,22 @@ class TestReplicate:
 
     def test_invariant_violation_names_cell_replication_and_seed(self, monkeypatch):
         run_round = harness.run_round
+        for replications, row in ((4, 2), (20, 17)):  # the 20-row block reads ahead
 
-        def corrupt_row_2_at_round_3(state, rngs):
-            if state.round_index == 3:
-                state.balances[2, 0] = np.nan
-            return run_round(state, rngs)
+            def corrupt_row_at_round_3(state, rngs, row=row):
+                if state.round_index == 3:
+                    state.balances[row, 0] = np.nan
+                return run_round(state, rngs)
 
-        monkeypatch.setattr(harness, "run_round", corrupt_row_2_at_round_3)
-        with pytest.raises(InvariantViolation) as exc:
-            replicate(SimParams(num_items=5, num_voters=10), 4, base_seed=8, cell_index=1)
-        seed = derive_seed(8, 1, 2)
-        assert str(exc.value) == (
-            f"cell 1, replication 2: settlement zero-sum at round 3 (seed {seed}): nan != nan"
-        )
+            monkeypatch.setattr(harness, "run_round", corrupt_row_at_round_3)
+            with pytest.raises(InvariantViolation) as exc:
+                replicate(SimParams(num_items=5, num_voters=10), replications, base_seed=8,
+                          cell_index=1)
+            seed = derive_seed(8, 1, row)
+            assert str(exc.value) == (
+                f"cell 1, replication {row}: settlement zero-sum at round 3 (seed {seed}): "
+                "nan != nan"
+            )
 
 
 
@@ -240,6 +244,17 @@ class TestSharedPool:
         run_sweep(self.SPEC, jobs=1)  # serial: the pool stays
         run_sweep(self.SPEC, jobs=3)
         assert pool_events == [("start", 2), ("shutdown", 2), ("start", 3)]
+
+    def test_first_pool_registers_one_exit_hook_that_closes_it(self, pool_events,
+                                                              monkeypatch):
+        hooks = []
+        monkeypatch.setattr(harness.atexit, "register", hooks.append)
+        pool = harness._SharedPool()
+        pool.map(2, [])
+        pool.map(3, [])
+        assert hooks == [pool.close]
+        hooks[0]()
+        assert pool_events == [("start", 2), ("shutdown", 2), ("start", 3), ("shutdown", 3)]
 
     def test_broken_pool_is_replaced_on_the_next_call(self, monkeypatch):
         started = []
@@ -369,16 +384,46 @@ BATCH_CELLS = {
 class TestBatchingInvariance:
     @pytest.mark.parametrize("replications", [1, 5, 40])
     @pytest.mark.parametrize("name", list(BATCH_CELLS))
-    def test_replicate_matches_run_simulation(self, name, replications):
+    def test_replicate_matches_run_simulation(self, monkeypatch, name, replications):
+        """Also when the 40-row block (and the 20-row blocks at two jobs) read
+        their streams ahead with a buffer of the default size, and of 2 and 3
+        rounds of the 40-row block: 4 and 6 of a 20-row one, so the 30-round
+        runs end on a part-filled refill."""
         params = BATCH_CELLS[name]
         expected = np.array([
             run_simulation(RunConfig(params, base_seed=derive_seed(9, 3, rep))).rows
             for rep in range(replications)
         ])
-        for jobs in (1, 2):
-            got = replicate(params, replications, base_seed=9, cell_index=3, jobs=jobs)
-            assert got.shape == expected.shape
-            assert np.array_equal(got, expected, equal_nan=True), jobs
+        blocks_read_ahead = replications >= harness.READ_AHEAD_ROWS
+        for ahead in (None, 2, 3) if blocks_read_ahead else (None,):
+            if ahead:
+                monkeypatch.setattr(harness, "READ_AHEAD_SLOTS",
+                                    ahead * 40 * (2 * params.num_voters + 1))
+            for jobs in (1, 2):
+                got = replicate(params, replications, base_seed=9, cell_index=3, jobs=jobs)
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected, equal_nan=True), (ahead, jobs)
+
+    @pytest.mark.parametrize("replications", [4, 20])
+    def test_each_stream_ends_after_its_rows_draws(self, monkeypatch, replications):
+        """A 20-row block reads its streams ahead, refilling every 3 of its 13
+        rounds, and rewinds each to where its row's draws end: the roster's
+        2N, then N + 1 and one per eligible voter each round, as the per-row
+        calls of a 4-row block leave it."""
+        params = SimParams(num_voters=10, num_items=13, initial_stake=40.0)
+        n = params.num_voters
+        monkeypatch.setattr(harness, "READ_AHEAD_SLOTS", 3 * 20 * (2 * n + 1))
+        readers = []
+        monkeypatch.setattr(harness, "ReadAhead",
+                            lambda *args: readers.append(args) or ReadAhead(*args))
+        rngs = [RngStream(seed) for seed in range(replications)]
+        state = init_registry(params, [sample_roster(params, rng) for rng in rngs])
+        _, columns = harness._advance(state, rngs)
+        assert len(readers) == (replications == 20)
+        for seed, (rng, n_eligible) in enumerate(zip(rngs, columns["n_eligible"])):
+            fresh = RngStream(seed)
+            fresh.uniform(2 * n + int((n + 1 + n_eligible).sum()))
+            assert rng.uniform(1) == fresh.uniform(1), seed
 
     @pytest.mark.parametrize("slots", [1, 7 * 3 * 40, 50 * 3 * 40])
     def test_chunked_class_sums_match_an_unchunked_run(self, monkeypatch, slots):
