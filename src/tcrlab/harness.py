@@ -437,36 +437,81 @@ STAT_NAMES = ("mean", "std", "min", "max", "p5", "p95")
 
 
 def aggregate_metrics(samples: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Per-(round, metric) stats over the replication axis, skipping NaNs."""
+    """Per-(round, metric) stats over the replication axis, skipping NaNs.
+
+    ``mean``, ``std`` (ddof 0), ``min`` and ``max`` are ``np.nanmean``,
+    ``np.nanstd``, ``np.nanmin`` and ``np.nanmax`` along axis 0. When no sample
+    is NaN, ``np.mean`` and ``np.std`` stand in for the first two: they run
+    the same sums, squares and divisions without the NaN mask, so they give
+    the same bits. ``min`` and ``max`` keep the nan-functions, because
+    ``np.minimum`` and ``np.fmin`` can pick different zeros of -0.0 and 0.0.
+    p5 and p95 come from ``_nan_percentiles``. ``TestAggregateMetrics`` in
+    ``tests/test_harness.py`` pins the bytes of every stat.
+    """
     with np.errstate(invalid="ignore"):
         counts = np.sum(~np.isnan(samples), axis=0)
         with warnings.catch_warnings():
             # all-NaN slices (an empty class in every replication) stay NaN
             warnings.simplefilter("ignore", category=RuntimeWarning)
+            complete = bool(np.all(counts == len(samples)))
             stats = {
-                "mean": np.nanmean(samples, axis=0),
-                "std": np.nanstd(samples, axis=0),
+                "mean": (np.mean if complete else np.nanmean)(samples, axis=0),
+                "std": (np.std if complete else np.nanstd)(samples, axis=0),
                 "min": np.nanmin(samples, axis=0),
                 "max": np.nanmax(samples, axis=0),
             }
-    stats["p5"], stats["p95"] = _nan_percentiles(samples, counts, (5, 95))
+        # inf - inf in a column's interpolation is NaN, as in np.nanpercentile
+        stats["p5"], stats["p95"] = _nan_percentiles(samples, counts, (5, 95))
     return stats, counts
 
 
 def _nan_percentiles(samples: np.ndarray, counts: np.ndarray, q) -> np.ndarray:
-    """``np.nanpercentile(samples, q, axis=0)``, bit for bit.
+    """``np.nanpercentile(samples, q, axis=0)``, bit for bit up to the sign of a zero.
 
     A column's percentile depends only on its sorted non-NaN values. Sorting
     puts NaNs last, so a column with c values has them in its first c rows,
-    and one ``np.percentile`` call serves every column with c values.
+    and numpy's ``method="linear"`` arithmetic runs once over every column
+    with c values: the virtual index ``(c - 1) * q / 100``; its floor and the
+    floor + 1 as the neighbours' indices, both -1 (the last value) where the
+    virtual index reaches c - 1; ``gamma`` = virtual index - floor; and
+    ``_lerp``'s two-sided form, ``a + (b - a) * gamma``, or
+    ``b - (b - a) * (1 - gamma)`` where ``gamma >= 0.5``.
+
+    That last form keeps the sign of a zero ``b``. Between tied -0.0 and 0.0,
+    which one lands at b's index depends on how a sort or a partition orders
+    equal keys, so those columns go through ``np.percentile``'s partition of
+    the sorted values, as they always have; ``np.nanpercentile`` partitions
+    the unsorted values and can pick the other zero.
+    ``test_percentiles_equal_nanpercentile`` and
+    ``test_tied_signed_zeros_keep_their_sign`` in ``tests/test_harness.py``
+    pin these bytes.
     """
     columns = samples.reshape(len(samples), -1)
     ordered = np.sort(columns, axis=0)
+    signed_zeros = bool((np.signbit(ordered) & (ordered == 0)).any())
     flat_counts = counts.reshape(-1)
+    quantiles = np.true_divide(q, 100)
     out = np.full((len(q), columns.shape[1]), np.nan)
     for c in np.unique(flat_counts[flat_counts > 0]):
         cols = np.flatnonzero(flat_counts == c)
-        out[:, cols] = np.percentile(ordered[:c, cols], q, axis=0)
+        virtual = (c - 1) * quantiles
+        previous = np.floor(virtual)
+        following = previous + 1
+        last = virtual >= c - 1
+        previous[last] = following[last] = -1
+        gamma = (virtual - previous)[:, None]
+        # Index -1 of a column's c values is its row c - 1.
+        a = ordered[previous.astype(np.intp) % c]
+        b = ordered[following.astype(np.intp) % c]
+        if len(cols) < len(flat_counts):
+            a, b = a[:, cols], b[:, cols]
+        diff = b - a
+        lerp = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=lerp, where=gamma >= 0.5)
+        if signed_zeros:
+            tied = ((a == 0) & (b == 0) & (gamma >= 0.5)).any(axis=0)
+            lerp[:, tied] = np.percentile(ordered[:c, cols[tied]], q, axis=0)
+        out[:, cols] = lerp
     return out.reshape(len(q), *samples.shape[1:])
 
 

@@ -152,13 +152,15 @@ def write_trace_csv(path: Path, trace: Trace) -> None:
     forced = c["n_intends"] - c["n_eligible"]
     reject = c["n_eligible"] - c["n_add"]
     columns = (c["item_good"], c["decision_add"], correct, c["stake"], c["n_eligible"], forced,
-               c["n_add"], reject, trace.rows)
+               c["n_add"], reject)
+    text, width = _g12(trace.rows), trace.rows.shape[1]
+    rows = [",".join(text[i:i + width]) for i in range(0, len(text), width)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for k, (good, add, ok, stake, n_eligible, n_forced, n_add, n_reject, row) in enumerate(
-                zip(*(column.tolist() for column in columns))):
+                zip(*(column.tolist() for column in columns), rows)):
             fh.write(f"{k},{_bool(good)},{'add' if add else 'reject'},{_bool(ok)},{fmt(stake)},"
-                     f"{n_eligible},{n_forced},{n_add},{n_reject},{','.join(_g12(row))}\n")
+                     f"{n_eligible},{n_forced},{n_add},{n_reject},{row}\n")
 
 
 def write_summary_json(path: Path, config: RunConfig, trace: Trace) -> None:
@@ -196,7 +198,7 @@ def write_aggregate_csv(path: Path, agg: AggregateStats) -> None:
                                + ["", ""])[:-2].replace("%", "%%")
             row = "".join(f"{prefix}%s,{metric},%s,%s,%s,%s,%s,%s,%s\n" for metric in METRIC_NAMES)
             columns = [[r for r in range(len(cell.counts)) for _ in METRIC_NAMES],
-                       *(_g12(cell.stats[s].ravel().tolist()) for s in STAT_NAMES),
+                       *(_g12(cell.stats[s]) for s in STAT_NAMES),
                        cell.counts.ravel().tolist()]
             fh.write(row * len(cell.counts) % tuple(itertools.chain.from_iterable(zip(*columns))))
 
@@ -232,9 +234,14 @@ def write_validation_json(path: Path, report: ValidationReport) -> None:
 
 # --- helpers ----------------------------------------------------------------
 
-def _g12(values: list) -> list[str]:
-    """``fmt`` of each float of a list."""
-    return ["" if x != x else "%.12g" % x for x in values]
+def _g12(a: np.ndarray) -> list[str]:
+    """``fmt`` of each value of an array, formatted by one ``%`` call."""
+    values = a.ravel().tolist()
+    text = ("%.12g\n" * len(values) % tuple(values)).split("\n")
+    del text[-1]
+    for i in np.flatnonzero(np.isnan(a.ravel())):
+        text[i] = ""
+    return text
 
 
 def _json_values(a: np.ndarray) -> list:

@@ -676,16 +676,66 @@ class TestAggregateMetrics:
         samples[rng.random(samples.shape) < rng.random((9, 11))] = np.nan
         samples[:, 0, 0] = np.nan
         samples[:, 1, 1] = 4.25
+        # infinities of both signs, zeros of both signs, equal present values;
+        # where -0.0 and 0.0 tie at a percentile's neighbours, the zero's sign
+        # can differ from np.nanpercentile's (test_tied_signed_zeros_keep_their_sign),
+        # and at these seeds it does not
+        for (r, m), pool in {(2, 2): [np.inf, -np.inf, 1.0, np.nan], (3, 3): [-0.0, 0.0, np.nan],
+                             (4, 4): [-3.5, np.nan]}.items():
+            samples[:, r, m] = rng.permutation(np.resize(pool, replications))
+        # columns with one and two present values
+        samples[:, 5, 5] = samples[:, 6, 6] = np.nan
+        samples[-1, 5, 5] = 2.0
+        samples[:2, 6, 6] = (3.0, -1.0)[:replications]
+        # NaN-free, so one count covers every column
+        complete = np.where(np.isnan(samples), 0.5, samples)
+        for sample in (samples, complete):
+            stats, counts = aggregate_metrics(sample)
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for q in (5, 95):
+                    expected = np.nanpercentile(sample, q, axis=0)
+                    got = stats[f"p{q}"]
+                    assert got.shape == expected.shape
+                    assert np.array_equal(got, expected, equal_nan=True)
+                    assert got.tobytes() == expected.tobytes()
+        assert counts.min() == replications
+        counts = aggregate_metrics(samples)[1]
+        assert counts[0, 0] == 0 and counts[1, 1] == replications and counts[5, 5] == 1
+
+    def test_tied_signed_zeros_keep_their_sign(self):
+        # Which of tied -0.0 and 0.0 a percentile lands on depends on how a
+        # partition orders equal keys: it stays np.percentile's over each
+        # column's sorted values, and equals np.nanpercentile as a number.
+        rng = np.random.Generator(np.random.PCG64(5))
+        samples = rng.choice([-0.0, 0.0, 1.0, np.nan], (40, 20, 11), p=[0.45, 0.45, 0.05, 0.05])
         stats, counts = aggregate_metrics(samples)
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for q in (5, 95):
-                expected = np.nanpercentile(samples, q, axis=0)
-                got = stats[f"p{q}"]
-                assert got.shape == expected.shape
-                assert np.array_equal(got, expected, equal_nan=True)
-                assert got.tobytes() == expected.tobytes()
-        assert counts[0, 0] == 0 and counts[1, 1] == replications
+        ordered = np.sort(samples, axis=0)
+        for q in (5, 95):
+            got = stats[f"p{q}"]
+            expected = np.array([np.percentile(ordered[:c, r, m], q)
+                                 for (r, m), c in np.ndenumerate(counts)]).reshape(counts.shape)
+            assert got.tobytes() == expected.tobytes()
+            assert np.array_equal(got, np.nanpercentile(samples, q, axis=0))
+        # both signs come out
+        zeros = np.concatenate([stats["p5"][stats["p5"] == 0], stats["p95"][stats["p95"] == 0]])
+        assert 0 < np.signbit(zeros).sum() < len(zeros)
+
+    @pytest.mark.parametrize("replications", [1, 2, 32, 333])
+    def test_complete_samples_equal_the_nan_functions(self, replications):
+        rng = np.random.Generator(np.random.PCG64(replications))
+        samples = rng.standard_normal((replications, 50, 11)) * 10.0 ** rng.integers(-3, 9, 11)
+        # signed zeros, also in the last columns, past the reductions' vector lanes
+        samples[:, -1] = rng.choice([-0.0, 0.0], (replications, 11))
+        one_nan = samples.copy()
+        one_nan[-1, 3, 4] = np.nan
+        for sample in (samples, one_nan):
+            stats, _ = aggregate_metrics(sample)
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for name, nan_function in (("mean", np.nanmean), ("std", np.nanstd),
+                                           ("min", np.nanmin), ("max", np.nanmax)):
+                    assert stats[name].tobytes() == nan_function(sample, axis=0).tobytes(), name
 
 
 class TestValidateAgainstAnalysis:

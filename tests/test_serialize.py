@@ -13,13 +13,19 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcrlab.harness import STAT_NAMES, AggregateStats, CellAggregate
 from tcrlab.metrics import METRIC_NAMES
 from tcrlab.params import AnalysisSigmaStake, ProtocolStake
-from tcrlab.serialize import stake_policy_to_dict, write_aggregate_csv, write_aggregate_json
+from tcrlab.serialize import (
+    _g12,
+    stake_policy_to_dict,
+    write_aggregate_csv,
+    write_aggregate_json,
+)
 
 POLICIES = (ProtocolStake, AnalysisSigmaStake)
 
@@ -110,8 +116,24 @@ def aggregates(draw):
     return AggregateStats(replications=draw(st.integers(1, 10**6)), cells=tuple(cells))
 
 
+def one_cell(stat):
+    """An aggregate of one cell whose every stat column is ``stat``."""
+    counts = np.arange(stat.size).reshape(stat.shape)
+    return AggregateStats(3, (CellAggregate({"p_informed": 0.5}, dict.fromkeys(STAT_NAMES, stat),
+                                            counts),))
+
+
+# the column formatter blanks NaNs after dropping the empty string that
+# follows the last value's newline
+ALL_NAN = np.full((2, len(METRIC_NAMES)), np.nan)
+LAST_NAN = np.linspace(-1.5, 1e17, ALL_NAN.size).reshape(ALL_NAN.shape)
+LAST_NAN[-1, -1] = np.nan
+
+
 @settings(max_examples=100, deadline=None)
 @given(agg=aggregates())
+@example(agg=one_cell(ALL_NAN))
+@example(agg=one_cell(LAST_NAN))
 def test_writers_match_the_stdlib_references(agg):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -120,3 +142,9 @@ def test_writers_match_the_stdlib_references(agg):
             write(out / "got", agg)
             reference(out / "want", agg)
             assert (out / "got").read_bytes() == (out / "want").read_bytes(), write.__name__
+
+
+@pytest.mark.parametrize("column", [ALL_NAN, LAST_NAN, np.array(EDGES), np.empty((0, 11))],
+                         ids=["all-nan", "last-nan", "edges", "empty"])
+def test_column_formatter_gives_one_string_a_value(column):
+    assert _g12(column) == [g12(x) for x in column.ravel().tolist()]
