@@ -440,26 +440,41 @@ def aggregate_metrics(samples: np.ndarray) -> tuple[dict[str, np.ndarray], np.nd
     """Per-(round, metric) stats over the replication axis, skipping NaNs.
 
     ``mean``, ``std`` (ddof 0), ``min`` and ``max`` are ``np.nanmean``,
-    ``np.nanstd``, ``np.nanmin`` and ``np.nanmax`` along axis 0. When no sample
-    is NaN, ``np.mean`` and ``np.std`` stand in for the first two: they run
-    the same sums, squares and divisions without the NaN mask, so they give
-    the same bits. ``min`` and ``max`` keep the nan-functions, because
+    ``np.nanstd``, ``np.nanmin`` and ``np.nanmax`` along axis 0. In columns
+    with no NaN sample, ``np.mean`` and ``np.std`` stand in for the first two:
+    they run the same sums, squares and divisions without the NaN mask, so
+    they give the same bits. The other columns are gathered into a C-ordered
+    block of at least two, which numpy reduces row by row as it does the
+    whole array (one column alone would be summed pairwise), and go through
+    the nan-functions' own arithmetic: NaNs set to 0, sum / count, the
+    deviations with NaNs set to 0 again, sum of squares / count, its square
+    root, and NaN where the count is 0. That skips the nan-functions'
+    per-call overhead, which outweighs their arithmetic on a few dozen
+    columns. ``min`` and ``max`` keep the nan-functions, because
     ``np.minimum`` and ``np.fmin`` can pick different zeros of -0.0 and 0.0.
     p5 and p95 come from ``_nan_percentiles``. ``TestAggregateMetrics`` in
     ``tests/test_harness.py`` pins the bytes of every stat.
     """
     with np.errstate(invalid="ignore"):
         counts = np.sum(~np.isnan(samples), axis=0)
+        partial = np.flatnonzero(counts != len(samples))
         with warnings.catch_warnings():
             # all-NaN slices (an empty class in every replication) stay NaN
             warnings.simplefilter("ignore", category=RuntimeWarning)
-            complete = bool(np.all(counts == len(samples)))
-            stats = {
-                "mean": (np.mean if complete else np.nanmean)(samples, axis=0),
-                "std": (np.std if complete else np.nanstd)(samples, axis=0),
-                "min": np.nanmin(samples, axis=0),
-                "max": np.nanmax(samples, axis=0),
-            }
+            stats = {"mean": np.mean(samples, axis=0), "std": np.std(samples, axis=0)}
+            if len(partial):
+                cols = np.resize(partial, max(2, len(partial)))
+                some = samples.reshape(len(samples), -1).take(cols, axis=1)
+                absent, n = np.isnan(some), counts.reshape(-1)[cols]
+                some[absent] = 0.0
+                mean = np.sum(some, axis=0) / n
+                some -= mean
+                some[absent] = 0.0
+                std = np.sqrt(np.sum(some * some, axis=0) / n)
+                std[n == 0] = np.nan
+                stats["mean"].reshape(-1)[cols], stats["std"].reshape(-1)[cols] = mean, std
+            stats["min"] = np.nanmin(samples, axis=0)
+            stats["max"] = np.nanmax(samples, axis=0)
         # inf - inf in a column's interpolation is NaN, as in np.nanpercentile
         stats["p5"], stats["p95"] = _nan_percentiles(samples, counts, (5, 95))
     return stats, counts

@@ -5,9 +5,10 @@ diff clean byte-for-byte; fields are quoted as ``csv.writer`` quotes them.
 
 ``aggregate.json`` is the text of ``json.dump(doc, indent=2, sort_keys=True)``
 plus a final newline: a 2-space indent, sorted keys, floats as
-``float.__repr__`` and NaN as ``null``. The trace and aggregate writers fill
-string templates instead of calling the encoder or ``csv.writer`` per value,
-and keep those bytes.
+``float.__repr__`` and NaN as ``null``. No writer calls the encoder or
+``csv.writer`` per value: the CSV writers fill a ``%d``/``%.12g`` row template
+with one ``%`` over a trace's, or an aggregate cell's, stacked float table and
+blank its ``nan`` fields; the JSON writer fills its template with ``repr``s.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ _ROUND_JSON = " " * 8 + json.dumps(
     {metric: dict.fromkeys(_JSON_KEYS, "%s") for metric in METRIC_NAMES}, indent=2, sort_keys=True
 ).replace("\n", "\n" + " " * 8).replace('"%s"', "%s")
 _JSON_CONSTANTS = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+# A trace row for each (item_good, decision_add), at 2 * item_good + decision_add,
+# and an aggregate cell's rows for one round, each led by its newline.
+_TRACE_ROWS = tuple(
+    f"%d,{('false', 'true')[good]},{('reject', 'add')[add]},{('false', 'true')[good == add]},"
+    + "%.12g,%d,%d,%d,%d" + ",%.12g" * len(METRIC_NAMES) + "\n"
+    for good in (0, 1) for add in (0, 1)
+)
+_AGGREGATE_ROWS = "".join(f"\n%d,{metric},{'%.12g,' * len(STAT_NAMES)}%d"
+                          for metric in METRIC_NAMES)
 # writerow returns what its file's write returns: here, the line it renders.
 _csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
@@ -148,19 +158,13 @@ def _load_json(path: str | Path):
 
 def write_trace_csv(path: Path, trace: Trace) -> None:
     c = trace.rounds
-    correct = c["decision_add"] == c["item_good"]
-    forced = c["n_intends"] - c["n_eligible"]
-    reject = c["n_eligible"] - c["n_add"]
-    columns = (c["item_good"], c["decision_add"], correct, c["stake"], c["n_eligible"], forced,
-               c["n_add"], reject)
-    text, width = _g12(trace.rows), trace.rows.shape[1]
-    rows = [",".join(text[i:i + width]) for i in range(0, len(text), width)]
+    table = np.column_stack((np.arange(len(trace.rows)), c["stake"], c["n_eligible"],
+                             c["n_intends"] - c["n_eligible"], c["n_add"],
+                             c["n_eligible"] - c["n_add"], trace.rows))
+    rows = "".join(map(_TRACE_ROWS.__getitem__, (2 * c["item_good"] + c["decision_add"]).tolist()))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for k, (good, add, ok, stake, n_eligible, n_forced, n_add, n_reject, row) in enumerate(
-                zip(*(column.tolist() for column in columns), rows)):
-            fh.write(f"{k},{_bool(good)},{'add' if add else 'reject'},{_bool(ok)},{fmt(stake)},"
-                     f"{n_eligible},{n_forced},{n_add},{n_reject},{row}\n")
+        fh.write(_blank_nans(rows % tuple(table.ravel().tolist())))
 
 
 def write_summary_json(path: Path, config: RunConfig, trace: Trace) -> None:
@@ -191,16 +195,18 @@ def write_summary_json(path: Path, config: RunConfig, trace: Trace) -> None:
 def write_aggregate_csv(path: Path, agg: AggregateStats) -> None:
     param_names = sorted({name for cell in agg.cells for name in cell.params})
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_line([*param_names, "round", "metric", *STAT_NAMES, "count"]))
+        # Each row's newline leads it, so the cell's prefix follows every newline.
+        fh.write(_csv_line([*param_names, "round", "metric", *STAT_NAMES, "count"])[:-1])
         for cell in agg.cells:
             # Two empty fields stop csv quoting a lone empty one; [:-2] leaves a comma.
             prefix = _csv_line([_param_str(cell.params.get(name)) for name in param_names]
-                               + ["", ""])[:-2].replace("%", "%%")
-            row = "".join(f"{prefix}%s,{metric},%s,%s,%s,%s,%s,%s,%s\n" for metric in METRIC_NAMES)
-            columns = [[r for r in range(len(cell.counts)) for _ in METRIC_NAMES],
-                       *(_g12(cell.stats[s]) for s in STAT_NAMES),
-                       cell.counts.ravel().tolist()]
-            fh.write(row * len(cell.counts) % tuple(itertools.chain.from_iterable(zip(*columns))))
+                               + ["", ""])[:-2]
+            counts = cell.counts
+            table = np.stack([np.broadcast_to(np.arange(len(counts))[:, None], counts.shape),
+                              *(cell.stats[stat] for stat in STAT_NAMES), counts], axis=-1)
+            rows = _AGGREGATE_ROWS * len(counts) % tuple(table.ravel().tolist())
+            fh.write(_blank_nans(rows).replace("\n", "\n" + prefix))
+        fh.write("\n")
 
 
 def write_aggregate_json(path: Path, agg: AggregateStats) -> None:
@@ -234,14 +240,10 @@ def write_validation_json(path: Path, report: ValidationReport) -> None:
 
 # --- helpers ----------------------------------------------------------------
 
-def _g12(a: np.ndarray) -> list[str]:
-    """``fmt`` of each value of an array, formatted by one ``%`` call."""
-    values = a.ravel().tolist()
-    text = ("%.12g\n" * len(values) % tuple(values)).split("\n")
-    del text[-1]
-    for i in np.flatnonzero(np.isnan(a.ravel())):
-        text[i] = ""
-    return text
+def _blank_nans(text: str) -> str:
+    """``fmt``'s empty field for each ``nan`` that ``%.12g`` wrote; no metric
+    name, and no other field the CSV templates fill, starts with ``nan``."""
+    return text.replace(",nan", ",")
 
 
 def _json_values(a: np.ndarray) -> list:
@@ -252,15 +254,11 @@ def _json_values(a: np.ndarray) -> list:
     return values
 
 
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
 def _param_str(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
-        return _bool(value)
+        return "true" if value else "false"
     if isinstance(value, float):
         return fmt(value)
     if isinstance(value, (ProtocolStake, AnalysisSigmaStake)):

@@ -30,6 +30,16 @@ SWEEP_WIDE = {
     "sim_params": {"num_voters": 600, "num_items": 10},
 }
 
+# An empty class in every replication of the p_informed 0 cell and in some
+# of the 0.5 cell: stat fields left blank (count 0), counts of 3 and 5 of 6,
+# and 48 nulls.
+SWEEP_NAN = {
+    "grid": {"p_informed": [0.0, 0.5]},
+    "replications": 6,
+    "base_seed": 2,
+    "sim_params": {"num_items": 4, "num_voters": 4},
+}
+
 # 7 voters at an 8% stake: 192 rounds with forced abstentions, 26 non-empty
 # ties and 6 empty rounds.
 SMALL = {"num_voters": 7, "num_items": 200, "initial_stake": 40.0}
@@ -42,6 +52,8 @@ CASES = [
     ("aggregate_2cell.csv", SWEEP_2CELL, ["sweep", "{config}"], "aggregate.csv"),
     ("aggregate_2cell.json", SWEEP_2CELL, ["sweep", "{config}"], "aggregate.json"),
     ("aggregate_wide.json", SWEEP_WIDE, ["sweep", "{config}"], "aggregate.json"),
+    ("aggregate_nan.csv", SWEEP_NAN, ["sweep", "{config}"], "aggregate.csv"),
+    ("aggregate_nan.json", SWEEP_NAN, ["sweep", "{config}"], "aggregate.json"),
 ]
 
 

@@ -727,9 +727,16 @@ class TestAggregateMetrics:
         samples = rng.standard_normal((replications, 50, 11)) * 10.0 ** rng.integers(-3, 9, 11)
         # signed zeros, also in the last columns, past the reductions' vector lanes
         samples[:, -1] = rng.choice([-0.0, 0.0], (replications, 11))
+        # one NaN column among NaN-free ones, reduced on its own; then with an
+        # all-NaN column, a partly NaN one among the signed zeros, and an
+        # infinity beside a NaN
         one_nan = samples.copy()
         one_nan[-1, 3, 4] = np.nan
-        for sample in (samples, one_nan):
+        some_nan = one_nan.copy()
+        some_nan[:, 7, 2] = np.nan
+        some_nan[:replications // 2 + 1, -1, 5] = np.nan
+        some_nan[-1, 9, 9], some_nan[0, 9, 9] = np.inf, np.nan
+        for sample in (samples, one_nan, some_nan):
             stats, _ = aggregate_metrics(sample)
             with np.errstate(invalid="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
