@@ -203,22 +203,38 @@ def _check_size(params: SimParams, replications: int = 1) -> None:
         )
 
 
-# A block task: the base seed, and the block's segments in row order. A
-# segment (position, cell_index, params, start, stop) holds replications
-# start..stop-1 of the cell at ``position`` in the list of cells.
+# A block task: the base seed, the block's segments in row order, and the
+# cell size it reduces at. A segment (position, cell_index, params, start,
+# stop) holds replications start..stop-1 of the cell at ``position`` in the
+# list of cells.
 Segment = tuple[int, int, SimParams, int, int]
 
 
-def _block_task(task: tuple[int, tuple[Segment, ...]]) -> np.ndarray:
-    base_seed, segments = task
+def _block_task(task: tuple[int, tuple[Segment, ...], int | None]) -> list:
+    """Run one lockstep block; one part per segment, in segment order.
+
+    A segment of ``cell_size`` rows holds a whole cell, which is reduced here
+    by ``aggregate_metrics`` on the block's contiguous slice of its rows, so
+    its part is the cell's ``(stats, counts)``. Every other segment's part
+    is its (rows, rounds, metrics) rows; with ``cell_size`` None every part
+    is. An ``InvariantViolation`` is raised again with its cell and
+    replication.
+    """
+    base_seed, segments, cell_size = task
     rows = [(cell_index, params, rep)
             for _, cell_index, params, start, stop in segments for rep in range(start, stop)]
     try:
-        return run_block([params for _, params, _ in rows],
-                         [derive_seed(base_seed, cell_index, rep) for cell_index, _, rep in rows])
+        block = run_block([params for _, params, _ in rows],
+                          [derive_seed(base_seed, cell_index, rep) for cell_index, _, rep in rows])
     except InvariantViolation as exc:
         cell_index, _, rep = ("?", None, "?") if exc.row is None else rows[exc.row]
         raise InvariantViolation(f"cell {cell_index}, replication {rep}: {exc}") from exc
+    parts, offset = [], 0
+    for *_, start, stop in segments:
+        part = block[offset:offset + stop - start]
+        parts.append(aggregate_metrics(part) if stop - start == cell_size else part)
+        offset += stop - start
+    return parts
 
 
 def _start_pool(workers: int) -> ProcessPoolExecutor:
@@ -255,7 +271,7 @@ class _SharedPool:
         self._workers = 0
         self._exit_hook = False
 
-    def map(self, workers: int, tasks: list) -> Iterator[np.ndarray]:
+    def map(self, workers: int, tasks: list) -> Iterator[list]:
         """``_block_task`` of each task, in order, on ``workers`` processes.
 
         As ``Executor.map``: each result is released once read, and blocks
@@ -294,23 +310,28 @@ def _usable_cpus() -> int:
 
 
 def _replicate_cells(
-    cells: list[tuple[int, SimParams]], replications: int, base_seed: int, jobs: int
-) -> Iterator[np.ndarray]:
-    """Each cell's (replications, rounds, metrics) samples, in the order given.
+    cells: list[tuple[int, SimParams]], replications: int, base_seed: int, jobs: int,
+    reduce: bool = False,
+) -> Iterator:
+    """Each cell's (replications, rounds, metrics) samples, in the order
+    given; with ``reduce``, each cell's ``aggregate_metrics`` instead.
 
     Cells with the same ``block_key`` (num_voters, num_items and the stake
     policy kind) form a group, wherever they sit in the list. A group's
     replications are laid end to end in (cell, replication) order and cut
     into contiguous lockstep blocks, one per worker, or more when a block
     would exceed BLOCK_SLOTS or MAX_ROW_ROUNDS; a block can span cells. With
-    more than one worker (at most one per CPU this process may use, and one
-    per replication) the blocks run on the process pool that every parallel
-    call shares; the first such call loads the pool machinery and starts the
-    pool, which is kept, and a serial call loads neither. Blocks not yet
-    started are cancelled when the caller stops reading, and a pool found
-    broken is dropped, so the next call starts a fresh one; its
-    ``BrokenProcessPool`` reaches the caller. Results are placed by (cell,
-    replication), so the output is identical for any job count.
+    ``reduce``, a block reduces each cell it holds whole in the process that
+    ran it, and returns rows only for the cells it shares with another
+    block, which ``_by_cell`` joins and reduces. With more than one worker
+    (at most one per CPU this process may use, and one per replication) the
+    blocks run on the process pool that every parallel call shares; the
+    first such call loads the pool machinery and starts the pool, which is
+    kept, and a serial call loads neither. Blocks not yet started are
+    cancelled when the caller stops reading, and a pool found broken is
+    dropped, so the next call starts a fresh one; its ``BrokenProcessPool``
+    reaches the caller. Results are placed by (cell, replication), so the
+    output is identical for any job count.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -319,6 +340,7 @@ def _replicate_cells(
     for position, (cell_index, params) in enumerate(cells):
         _check_size(params, replications)
         groups.setdefault(block_key(params), []).append((position, cell_index, params))
+    cell_size = replications if reduce else None
     tasks = []
     for (num_voters, num_items, _), members in groups.items():
         total = replications * len(members)
@@ -332,7 +354,7 @@ def _replicate_cells(
                 first = m * replications  # the member's first row in the group
                 segments.append((position, cell_index, params,
                                  max(start - first, 0), min(stop - first, replications)))
-            tasks.append((base_seed, tuple(segments)))
+            tasks.append((base_seed, tuple(segments), cell_size))
     if workers == 1:
         yield from _by_cell(len(cells), replications, tasks, map(_block_task, tasks))
         return
@@ -345,19 +367,27 @@ def _replicate_cells(
         raise
 
 
-def _by_cell(num_cells, replications, tasks, blocks) -> Iterator[np.ndarray]:
-    """Each cell's samples, in cell order, as soon as its last block is done."""
+def _by_cell(num_cells, replications, tasks, blocks) -> Iterator:
+    """Each cell's samples, or its ``(stats, counts)`` where the tasks have
+    a cell size, in cell order, as soon as its last block is done.
+
+    A cell that a block reduced whole comes as the block gave it; the rows
+    of a cell are joined, and reduced here where the tasks have a cell size.
+    """
     parts = [[] for _ in range(num_cells)]
     filled = [0] * num_cells
     ready = 0
-    for (_, segments), block in zip(tasks, blocks):
-        offset = 0
-        for position, _, _, start, stop in segments:
-            parts[position].append(block[offset:offset + stop - start])
+    for (_, segments, cell_size), block in zip(tasks, blocks):
+        for (position, _, _, start, stop), part in zip(segments, block):
+            parts[position].append(part)
             filled[position] += stop - start
-            offset += stop - start
         while ready < num_cells and filled[ready] == replications:
-            yield np.concatenate(parts[ready])
+            if isinstance(parts[ready][0], tuple):  # reduced whole by its block
+                yield parts[ready][0]
+            elif cell_size is None:
+                yield np.concatenate(parts[ready])
+            else:
+                yield aggregate_metrics(np.concatenate(parts[ready]))
             parts[ready] = None
             ready += 1
 
@@ -373,7 +403,8 @@ def replicate(
 
     Replication r is seeded with ``derive_seed(base_seed, cell_index, r)``.
     With ``jobs`` > 1 the replications run on the shared process pool (see
-    ``_replicate_cells``). Identical output for any job count.
+    ``_replicate_cells``), and every block returns its rows. Identical output
+    for any job count.
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
@@ -485,12 +516,14 @@ def _nan_percentiles(samples: np.ndarray, counts: np.ndarray, q) -> np.ndarray:
 
     A column's percentile depends only on its sorted non-NaN values. Sorting
     puts NaNs last, so a column with c values has them in its first c rows,
-    and numpy's ``method="linear"`` arithmetic runs once over every column
-    with c values: the virtual index ``(c - 1) * q / 100``; its floor and the
-    floor + 1 as the neighbours' indices, both -1 (the last value) where the
-    virtual index reaches c - 1; ``gamma`` = virtual index - floor; and
-    ``_lerp``'s two-sided form, ``a + (b - a) * gamma``, or
-    ``b - (b - a) * (1 - gamma)`` where ``gamma >= 0.5``.
+    and numpy's ``method="linear"`` arithmetic runs once over all columns,
+    each with its own c: the virtual index ``(c - 1) * q / 100``; its floor
+    and the floor + 1 as the neighbours' rows, both -1 (the last value) where
+    the virtual index reaches c - 1; ``gamma`` = virtual index - floor; one
+    gather of each column's two neighbours; and ``_lerp``'s two-sided form,
+    ``a + (b - a) * gamma``, or ``b - (b - a) * (1 - gamma)`` where
+    ``gamma >= 0.5``. A column with no value has row -1 as both neighbours,
+    the last row, which is NaN.
 
     That last form keeps the sign of a zero ``b``. Between tied -0.0 and 0.0,
     which one lands at b's index depends on how a sort or a partition orders
@@ -503,47 +536,43 @@ def _nan_percentiles(samples: np.ndarray, counts: np.ndarray, q) -> np.ndarray:
     """
     columns = samples.reshape(len(samples), -1)
     ordered = np.sort(columns, axis=0)
-    signed_zeros = bool((np.signbit(ordered) & (ordered == 0)).any())
-    flat_counts = counts.reshape(-1)
-    quantiles = np.true_divide(q, 100)
-    out = np.full((len(q), columns.shape[1]), np.nan)
-    for c in np.unique(flat_counts[flat_counts > 0]):
-        cols = np.flatnonzero(flat_counts == c)
-        virtual = (c - 1) * quantiles
-        previous = np.floor(virtual)
-        following = previous + 1
-        last = virtual >= c - 1
-        previous[last] = following[last] = -1
-        gamma = (virtual - previous)[:, None]
-        # Index -1 of a column's c values is its row c - 1.
-        a = ordered[previous.astype(np.intp) % c]
-        b = ordered[following.astype(np.intp) % c]
-        if len(cols) < len(flat_counts):
-            a, b = a[:, cols], b[:, cols]
-        diff = b - a
-        lerp = a + diff * gamma
-        np.subtract(b, diff * (1 - gamma), out=lerp, where=gamma >= 0.5)
-        if signed_zeros:
-            tied = ((a == 0) & (b == 0) & (gamma >= 0.5)).any(axis=0)
-            lerp[:, tied] = np.percentile(ordered[:c, cols[tied]], q, axis=0)
-        out[:, cols] = lerp
+    c = counts.reshape(-1)
+    virtual = (c - 1) * np.true_divide(q, 100)[:, None]
+    last = virtual >= c - 1
+    previous = np.where(last, -1, np.floor(virtual))
+    gamma = virtual - previous
+    # Flat indices of each column's two neighbours, both in row c - 1 where
+    # the virtual index reaches it.
+    width = columns.shape[1]
+    at = np.where(last, c - 1, previous).astype(np.intp) * width + np.arange(width)
+    a = ordered.reshape(-1).take(at)
+    b = ordered.reshape(-1).take(at + width * ~last)
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    if (np.signbit(ordered) & (ordered == 0)).any():
+        for col in np.flatnonzero(((a == 0) & (b == 0) & (gamma >= 0.5)).any(axis=0)):
+            out[:, col] = np.percentile(ordered[:c[col], col], q)
     return out.reshape(len(q), *samples.shape[1:])
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> AggregateStats:
     """Run every grid cell x replication and aggregate across seeds.
 
-    When ``jobs`` > 1, the process pool that every parallel call shares runs
-    the replications of every cell; it is started by the first such call and
-    kept for the next (see ``_replicate_cells``).
+    Each cell is reduced by ``aggregate_metrics`` in the block that ran all
+    its replications, or here when its replications span blocks (see
+    ``_replicate_cells``); either way from the same contiguous rows, so the
+    stats are identical. When ``jobs`` > 1, the process pool that every
+    parallel call shares runs the blocks; it is started by the first such
+    call and kept for the next.
     """
     overrides = spec.cells()
     cells = [(c, replace(spec.base_params, **o)) for c, o in enumerate(overrides)]
     aggregates = []
     # Closing the runs cancels their queued blocks if a cell below raises.
-    with closing(_replicate_cells(cells, spec.replications, spec.base_seed, jobs)) as runs:
-        for samples, params in zip(runs, overrides):
-            stats, counts = aggregate_metrics(samples)
+    with closing(_replicate_cells(cells, spec.replications, spec.base_seed, jobs,
+                                  reduce=True)) as runs:
+        for (stats, counts), params in zip(runs, overrides):
             # Finite samples can still overflow a mean's sum or a std's squares.
             if any(np.isinf(stat).any() for stat in stats.values()):
                 raise ConfigurationError(

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -173,7 +174,8 @@ class TestReplicate:
         # the four cells share a block key, so their 24 rows are cut into one
         # contiguous block per worker
         assert [[(c, start, stop) for _, c, _, start, stop in segments]
-                for _, segments in submitted] == [[(0, 0, 6), (1, 0, 6)], [(2, 0, 6), (3, 0, 6)]]
+                for _, segments, _ in submitted] == [[(0, 0, 6), (1, 0, 6)],
+                                                     [(2, 0, 6), (3, 0, 6)]]
         serial = run_sweep(spec, jobs=1)
         for a, b in zip(agg.cells, serial.cells):
             for name in a.stats:
@@ -341,9 +343,9 @@ class TestSharedPool:
         block_task = harness._block_task
 
         def recorded(task):
-            block = block_task(task)
-            blocks.append(weakref.ref(block))
-            return block
+            [part] = parts = block_task(task)
+            blocks.append(weakref.ref(part.base))  # the block its one part is a view of
+            return parts
 
         # One thread runs the blocks in order, so a block's work item is gone
         # before the next block's result can be read.
@@ -518,6 +520,66 @@ class TestCellSpanningBlocks:
             expected = replicate(replace(spec.base_params, **overrides), 3, 4, cell_index=c)
             assert got[c].shape == expected.shape
             assert got[c].tobytes() == expected.tobytes(), overrides
+
+    # Three cells of 4 replications. At jobs=2 the two 6-row blocks hold
+    # cells 0 and 2 whole and split cell 1; at jobs=1 with 5-row blocks the
+    # first block holds cell 0 whole and cells 1 and 2 are split. Cell 2's
+    # informed classes are empty, so their wealth stats are NaN.
+    REDUCED = SweepSpec(grid=(("p_informed", (0.5, 0.9, 0.0)),), replications=4,
+                        base_seed=7, base_params=SimParams(num_voters=9, num_items=6))
+
+    @pytest.mark.parametrize("pool,jobs,shipped", [
+        ("fake", 2, [["stats", 2], [2, "stats"]]),
+        ("real", 2, None),
+        ("serial 5-row blocks", 1, [["stats", 1], [3, 2], [2]]),
+    ])
+    def test_cells_reduced_in_or_out_of_their_blocks_match_aggregate_metrics(
+            self, request, monkeypatch, pool, jobs, shipped):
+        parts = []
+        if pool == "fake":
+            request.getfixturevalue("pool_events")
+        elif pool == "real":
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        else:
+            monkeypatch.setattr(harness, "BLOCK_SLOTS", 9 * 5)
+        if shipped is not None:
+            block_task = harness._block_task
+
+            def recorded(task):
+                block = block_task(task)
+                parts.append([len(p) if isinstance(p, np.ndarray) else "stats" for p in block])
+                return block
+
+            monkeypatch.setattr(harness, "_block_task", recorded)
+        agg = run_sweep(self.REDUCED, jobs=jobs)
+        assert parts == ([] if shipped is None else shipped)
+        for c, overrides in enumerate(self.REDUCED.cells()):
+            samples = replicate(replace(self.REDUCED.base_params, **overrides), 4, 7,
+                                cell_index=c)
+            stats, counts = aggregate_metrics(samples)
+            assert agg.cells[c].counts.tobytes() == counts.tobytes(), overrides
+            for stat in stats:
+                assert agg.cells[c].stats[stat].tobytes() == stats[stat].tobytes(), stat
+        assert np.isnan(agg.cells[2].stats["mean"][:, IDX["wealth_IE"]]).all()
+
+    def test_a_whole_cell_crosses_the_pipe_as_stats_not_rows(self):
+        """A block task returns no sample rows for a cell it holds whole, so
+        what it ships grows with its cells, not with their replications."""
+        params = SimParams(num_voters=9, num_items=6)
+        shipped = []
+        for replications in (4, 40):
+            segments = ((0, 0, params, 0, replications), (1, 1, params, 0, 2))
+            whole, rows = harness._block_task((3, segments, replications))
+            stats, counts = aggregate_metrics(replicate(params, replications, 3))
+            assert whole[1].tobytes() == counts.tobytes()
+            for stat in stats:
+                assert whole[0][stat].tobytes() == stats[stat].tobytes()
+            assert rows.tobytes() == replicate(params, 2, 3, cell_index=1).tobytes()
+            shipped.append(len(pickle.dumps(whole)))
+        assert shipped[0] == shipped[1]
+        # without a cell size, every part is rows
+        [samples] = harness._block_task((3, ((0, 0, params, 0, 4),), None))
+        assert samples.tobytes() == replicate(params, 4, 3).tobytes()
 
     def test_invariant_violation_names_the_second_cell_of_a_block(self, monkeypatch):
         run_round = harness.run_round
