@@ -15,7 +15,7 @@ import threading
 import warnings
 from collections.abc import Iterator, Sequence
 from contextlib import closing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -213,12 +213,12 @@ Segment = tuple[int, int, SimParams, int, int]
 def _block_task(task: tuple[int, tuple[Segment, ...], int | None]) -> list:
     """Run one lockstep block; one part per segment, in segment order.
 
-    A segment of ``cell_size`` rows holds a whole cell, which is reduced here
-    by ``aggregate_metrics`` on the block's contiguous slice of its rows, so
-    its part is the cell's ``(stats, counts)``. Every other segment's part
-    is its (rows, rounds, metrics) rows; with ``cell_size`` None every part
-    is. An ``InvariantViolation`` is raised again with its cell and
-    replication.
+    A segment of ``cell_size`` rows holds a whole cell, which is reduced and
+    rendered here by ``_reduce_cell`` on the block's contiguous slice of its
+    rows, so its part is the cell's ``(stats, counts, csv_rows,
+    json_rounds)``. Every other segment's part is its (rows, rounds,
+    metrics) rows; with ``cell_size`` None every part is. An
+    ``InvariantViolation`` is raised again with its cell and replication.
     """
     base_seed, segments, cell_size = task
     rows = [(cell_index, params, rep)
@@ -232,7 +232,7 @@ def _block_task(task: tuple[int, tuple[Segment, ...], int | None]) -> list:
     parts, offset = [], 0
     for *_, start, stop in segments:
         part = block[offset:offset + stop - start]
-        parts.append(aggregate_metrics(part) if stop - start == cell_size else part)
+        parts.append(_reduce_cell(part) if stop - start == cell_size else part)
         offset += stop - start
     return parts
 
@@ -314,7 +314,7 @@ def _replicate_cells(
     reduce: bool = False,
 ) -> Iterator:
     """Each cell's (replications, rounds, metrics) samples, in the order
-    given; with ``reduce``, each cell's ``aggregate_metrics`` instead.
+    given; with ``reduce``, each cell's ``_reduce_cell`` instead.
 
     Cells with the same ``block_key`` (num_voters, num_items and the stake
     policy kind) form a group, wherever they sit in the list. A group's
@@ -368,11 +368,12 @@ def _replicate_cells(
 
 
 def _by_cell(num_cells, replications, tasks, blocks) -> Iterator:
-    """Each cell's samples, or its ``(stats, counts)`` where the tasks have
-    a cell size, in cell order, as soon as its last block is done.
+    """Each cell's samples, or its ``_reduce_cell`` where the tasks have a
+    cell size, in cell order, as soon as its last block is done.
 
     A cell that a block reduced whole comes as the block gave it; the rows
-    of a cell are joined, and reduced here where the tasks have a cell size.
+    of a cell are joined, and reduced and rendered here, by the same
+    ``_reduce_cell``, where the tasks have a cell size.
     """
     parts = [[] for _ in range(num_cells)]
     filled = [0] * num_cells
@@ -387,7 +388,7 @@ def _by_cell(num_cells, replications, tasks, blocks) -> Iterator:
             elif cell_size is None:
                 yield np.concatenate(parts[ready])
             else:
-                yield aggregate_metrics(np.concatenate(parts[ready]))
+                yield _reduce_cell(np.concatenate(parts[ready]))
             parts[ready] = None
             ready += 1
 
@@ -450,12 +451,18 @@ class CellAggregate:
     """Cross-replication stats for one grid cell.
 
     `stats` maps stat name -> (rounds, metrics) array; `counts` holds the
-    number of non-absent samples per (round, metric).
+    number of non-absent samples per (round, metric). `csv_rows` and
+    `json_rounds` are the cell's aggregate text without its params, as
+    ``serialize.aggregate_csv_rows`` and ``serialize.aggregate_json_rounds``
+    render it; ``run_sweep`` renders it in the process that reduced the cell.
+    A cell built without it is rendered by each writer, in its own format.
     """
 
     params: dict
     stats: dict[str, np.ndarray]
     counts: np.ndarray
+    csv_rows: str | None = field(default=None, repr=False)
+    json_rounds: str | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -511,6 +518,18 @@ def aggregate_metrics(samples: np.ndarray) -> tuple[dict[str, np.ndarray], np.nd
     return stats, counts
 
 
+def _reduce_cell(samples: np.ndarray) -> tuple:
+    """A cell's ``aggregate_metrics`` and its aggregate text: ``(stats,
+    counts, csv_rows, json_rounds)``, as ``CellAggregate`` holds them.
+
+    ``serialize`` imports this module, so its renderers are imported here.
+    """
+    from .serialize import aggregate_csv_rows, aggregate_json_rounds
+
+    stats, counts = aggregate_metrics(samples)
+    return stats, counts, aggregate_csv_rows(stats, counts), aggregate_json_rounds(stats, counts)
+
+
 def _nan_percentiles(samples: np.ndarray, counts: np.ndarray, q) -> np.ndarray:
     """``np.nanpercentile(samples, q, axis=0)``, bit for bit up to the sign of a zero.
 
@@ -559,12 +578,13 @@ def _nan_percentiles(samples: np.ndarray, counts: np.ndarray, q) -> np.ndarray:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> AggregateStats:
     """Run every grid cell x replication and aggregate across seeds.
 
-    Each cell is reduced by ``aggregate_metrics`` in the block that ran all
-    its replications, or here when its replications span blocks (see
+    Each cell is reduced by ``aggregate_metrics``, and its aggregate CSV rows
+    and JSON rounds are rendered, by ``_reduce_cell`` in the block that ran
+    all its replications, or here when its replications span blocks (see
     ``_replicate_cells``); either way from the same contiguous rows, so the
-    stats are identical. When ``jobs`` > 1, the process pool that every
-    parallel call shares runs the blocks; it is started by the first such
-    call and kept for the next.
+    stats and text are identical, and the writers only add each cell's params.
+    When ``jobs`` > 1, the process pool that every parallel call shares runs
+    the blocks; it is started by the first such call and kept for the next.
     """
     overrides = spec.cells()
     cells = [(c, replace(spec.base_params, **o)) for c, o in enumerate(overrides)]
@@ -572,14 +592,14 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> AggregateStats:
     # Closing the runs cancels their queued blocks if a cell below raises.
     with closing(_replicate_cells(cells, spec.replications, spec.base_seed, jobs,
                                   reduce=True)) as runs:
-        for (stats, counts), params in zip(runs, overrides):
+        for (stats, counts, csv_rows, json_rounds), params in zip(runs, overrides):
             # Finite samples can still overflow a mean's sum or a std's squares.
             if any(np.isinf(stat).any() for stat in stats.values()):
                 raise ConfigurationError(
                     f"sweep cell {params}: statistics across replications overflow "
                     "the float range"
                 )
-            aggregates.append(CellAggregate(params=params, stats=stats, counts=counts))
+            aggregates.append(CellAggregate(params, stats, counts, csv_rows, json_rounds))
     return AggregateStats(replications=spec.replications, cells=tuple(aggregates))
 
 

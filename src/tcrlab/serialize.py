@@ -6,9 +6,13 @@ diff clean byte-for-byte; fields are quoted as ``csv.writer`` quotes them.
 ``aggregate.json`` is the text of ``json.dump(doc, indent=2, sort_keys=True)``
 plus a final newline: a 2-space indent, sorted keys, floats as
 ``float.__repr__`` and NaN as ``null``. No writer calls the encoder or
-``csv.writer`` per value: the CSV writers fill a ``%d``/``%.12g`` row template
-with one ``%`` over a trace's, or an aggregate cell's, stacked float table and
-blank its ``nan`` fields; the JSON writer fills its template with ``repr``s.
+``csv.writer`` per value: ``write_trace_csv`` and ``aggregate_csv_rows`` fill a
+``%d``/``%.12g`` row template with one ``%`` over a trace's, or an aggregate
+cell's, stacked float table and blank its ``nan`` fields;
+``aggregate_json_rounds`` fills a cell's rounds template with ``repr``s. A
+sweep renders each cell's text with these two in the process that reduced the
+cell (``harness.run_sweep``), so the aggregate writers only add each cell's
+params and write; they render a cell built without its text themselves.
 """
 
 from __future__ import annotations
@@ -201,11 +205,10 @@ def write_aggregate_csv(path: Path, agg: AggregateStats) -> None:
             # Two empty fields stop csv quoting a lone empty one; [:-2] leaves a comma.
             prefix = _csv_line([_param_str(cell.params.get(name)) for name in param_names]
                                + ["", ""])[:-2]
-            counts = cell.counts
-            table = np.stack([np.broadcast_to(np.arange(len(counts))[:, None], counts.shape),
-                              *(cell.stats[stat] for stat in STAT_NAMES), counts], axis=-1)
-            rows = _AGGREGATE_ROWS * len(counts) % tuple(table.ravel().tolist())
-            fh.write(_blank_nans(rows).replace("\n", "\n" + prefix))
+            rows = cell.csv_rows
+            if rows is None:
+                rows = aggregate_csv_rows(cell.stats, cell.counts)
+            fh.write(rows.replace("\n", "\n" + prefix))
         fh.write("\n")
 
 
@@ -215,15 +218,32 @@ def write_aggregate_json(path: Path, agg: AggregateStats) -> None:
     with open(path, "w", newline="") as fh:
         fh.write('{\n  "cells": [')
         for c, cell in enumerate(agg.cells):
-            stats = {**cell.stats, "count": cell.counts}
-            columns = [_json_values(stats[key][:, _BY_NAME]) for key in _JSON_KEYS]
-            rounds = ",\n".join([_ROUND_JSON] * len(cell.counts))
-            rounds %= tuple(itertools.chain.from_iterable(zip(*columns)))
+            rounds = cell.json_rounds
+            if rounds is None:
+                rounds = aggregate_json_rounds(cell.stats, cell.counts)
             params = json.dumps(_jsonable(cell.params), indent=2, sort_keys=True)
             fh.write('%s    {\n      "params": %s,\n      "rounds": %s\n    }' % (
-                ",\n" if c else "\n", params.replace("\n", "\n" + " " * 6),
-                f"[\n{rounds}\n      ]" if rounds else "[]"))
+                ",\n" if c else "\n", params.replace("\n", "\n" + " " * 6), rounds))
         fh.write(("\n  ]," if agg.cells else "],") + tail[1:] + "\n")
+
+
+def aggregate_csv_rows(stats: dict[str, np.ndarray], counts: np.ndarray) -> str:
+    """A cell's ``aggregate.csv`` rows, each led by its newline and without
+    the cell's params: one ``%`` over its stacked (round, stats, count) table,
+    with the ``nan`` fields blanked."""
+    table = np.stack([np.broadcast_to(np.arange(len(counts))[:, None], counts.shape),
+                      *(stats[stat] for stat in STAT_NAMES), counts], axis=-1)
+    return _blank_nans(_AGGREGATE_ROWS * len(counts) % tuple(table.ravel().tolist()))
+
+
+def aggregate_json_rounds(stats: dict[str, np.ndarray], counts: np.ndarray) -> str:
+    """A cell's ``rounds`` value in ``aggregate.json``, as its cell's
+    ``"rounds": `` key leaves it, 6 spaces deep; ``[]`` for no rounds."""
+    stats = {**stats, "count": counts}
+    columns = [_json_values(stats[key][:, _BY_NAME]) for key in _JSON_KEYS]
+    rounds = ",\n".join([_ROUND_JSON] * len(counts))
+    rounds %= tuple(itertools.chain.from_iterable(zip(*columns)))
+    return f"[\n{rounds}\n      ]" if rounds else "[]"
 
 
 def write_validation_json(path: Path, report: ValidationReport) -> None:

@@ -31,6 +31,12 @@ from tcrlab.harness import (
 )
 from tcrlab.params import AnalysisSigmaStake, ConfigurationError, ProtocolStake, SimParams
 from tcrlab.protocol import InvariantViolation, init_registry
+from tcrlab.serialize import (
+    aggregate_csv_rows,
+    aggregate_json_rounds,
+    write_aggregate_csv,
+    write_aggregate_json,
+)
 from tcrlab.voters import ReadAhead, RngStream, sample_roster
 
 IDX = {name: i for i, name in enumerate(METRIC_NAMES)}
@@ -521,20 +527,21 @@ class TestCellSpanningBlocks:
             assert got[c].shape == expected.shape
             assert got[c].tobytes() == expected.tobytes(), overrides
 
-    # Three cells of 4 replications. At jobs=2 the two 6-row blocks hold
-    # cells 0 and 2 whole and split cell 1; at jobs=1 with 5-row blocks the
-    # first block holds cell 0 whole and cells 1 and 2 are split. Cell 2's
-    # informed classes are empty, so their wealth stats are NaN.
-    REDUCED = SweepSpec(grid=(("p_informed", (0.5, 0.9, 0.0)),), replications=4,
-                        base_seed=7, base_params=SimParams(num_voters=9, num_items=6))
+    # Two groups, of 6 and of 0 rounds, of three cells of 4 replications.
+    # In each group, at jobs=2 the two 6-row blocks hold cells 0 and 2 whole
+    # and split cell 1; at jobs=1 with 5-row blocks the first block holds
+    # cell 0 whole and cells 1 and 2 are split. Cell 2's informed classes
+    # are empty, so their wealth stats are NaN.
+    REDUCED = SweepSpec(grid=(("num_items", (6, 0)), ("p_informed", (0.5, 0.9, 0.0))),
+                        replications=4, base_seed=7, base_params=SimParams(num_voters=9))
 
     @pytest.mark.parametrize("pool,jobs,shipped", [
-        ("fake", 2, [["stats", 2], [2, "stats"]]),
+        ("fake", 2, [["stats", 2], [2, "stats"]] * 2),
         ("real", 2, None),
-        ("serial 5-row blocks", 1, [["stats", 1], [3, 2], [2]]),
+        ("serial 5-row blocks", 1, [["stats", 1], [3, 2], [2]] * 2),
     ])
     def test_cells_reduced_in_or_out_of_their_blocks_match_aggregate_metrics(
-            self, request, monkeypatch, pool, jobs, shipped):
+            self, request, tmp_path, monkeypatch, pool, jobs, shipped):
         parts = []
         if pool == "fake":
             request.getfixturevalue("pool_events")
@@ -561,10 +568,19 @@ class TestCellSpanningBlocks:
             for stat in stats:
                 assert agg.cells[c].stats[stat].tobytes() == stats[stat].tobytes(), stat
         assert np.isnan(agg.cells[2].stats["mean"][:, IDX["wealth_IE"]]).all()
+        # The writers render cells built without their text to the same bytes.
+        bare = replace(agg, cells=tuple(replace(cell, csv_rows=None, json_rounds=None)
+                                        for cell in agg.cells))
+        for write in (write_aggregate_csv, write_aggregate_json):
+            write(tmp_path / "rendered", agg)
+            write(tmp_path / "bare", bare)
+            assert (tmp_path / "rendered").read_bytes() == (tmp_path / "bare").read_bytes()
+        assert '"rounds": []' in (tmp_path / "bare").read_text()
 
     def test_a_whole_cell_crosses_the_pipe_as_stats_not_rows(self):
-        """A block task returns no sample rows for a cell it holds whole, so
-        what it ships grows with its cells, not with their replications."""
+        """A block task returns no sample rows for a cell it holds whole, but
+        its stats and their aggregate text, so the stats it ships do not grow
+        with the cell's replications."""
         params = SimParams(num_voters=9, num_items=6)
         shipped = []
         for replications in (4, 40):
@@ -574,8 +590,10 @@ class TestCellSpanningBlocks:
             assert whole[1].tobytes() == counts.tobytes()
             for stat in stats:
                 assert whole[0][stat].tobytes() == stats[stat].tobytes()
+            assert whole[2:] == (aggregate_csv_rows(stats, counts),
+                                 aggregate_json_rounds(stats, counts))
             assert rows.tobytes() == replicate(params, 2, 3, cell_index=1).tobytes()
-            shipped.append(len(pickle.dumps(whole)))
+            shipped.append(len(pickle.dumps(whole[:2])))
         assert shipped[0] == shipped[1]
         # without a cell size, every part is rows
         [samples] = harness._block_task((3, ((0, 0, params, 0, 4),), None))
