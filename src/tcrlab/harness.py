@@ -134,7 +134,7 @@ def _advance(state: TcrState, rngs: list[RngStream]) -> tuple[np.ndarray, dict[s
             done = last - first
             for name, column in columns.items():
                 column[:, first:last] = getattr(history, name)[:done].T
-            tokens[:, first:last] = state.class_tokens(history.balances[:done]).swapaxes(0, 1)
+            tokens[:, first:last] = state.class_tokens(done).swapaxes(0, 1)
     if state.read_ahead is not None:
         state.read_ahead.close()
         state.read_ahead = None

@@ -31,6 +31,8 @@ from .voters import RngStream, VoterClass
 
 REL_TOL = 1e-9
 _UE = tuple(VoterClass).index(VoterClass.UNINFORMED_ENGAGED)
+# Entries a class sum gathers at once; a longer stack of rounds goes in chunks.
+GATHER_SLOTS = 2**13
 
 
 class InvariantViolation(RuntimeError):
@@ -74,12 +76,14 @@ class History:
     voters. ``size`` slots are filled and the first ``checked`` of them have
     been checked; ``v_correct`` holds the running correct-decision count of
     each checked slot. A full history starts over at slot 0 with the next
-    round.
+    round. A slot's balances lead its row of ``padded``, whose zero tail
+    (to a multiple of 8 entries) the class-token sums read.
     """
 
     def __init__(self, depth: int, rows: int, n: int):
         self.depth = depth
-        self.balances = np.empty((depth, rows, n))
+        self.padded = np.zeros((depth, rows * n // 8 * 8 + 8))
+        self.balances = self.padded[:, :rows * n].reshape(depth, rows, n)
         (self.stake, self.pre_settle, self.post_settle, self.participant_tokens,
          self.total) = np.empty((5, depth, rows))
         self.item_good, self.decision_add = np.empty((2, depth, rows), dtype=bool)
@@ -96,9 +100,10 @@ class TcrState:
     a block share a ``block_key``, and everything else a cell may vary is
     held here once, as an (R,) or (R, 1) column. Classes never change
     during a run, so their sizes, an (R, 4) array in ``VoterClass`` order,
-    and the index groups that sum each class's tokens are fixed here. Every
-    round yields one decision per replication, so a row's incorrect
-    decisions are ``round_index`` minus ``v_correct``.
+    and the gathers that sum each class's tokens are fixed here; the sums
+    read the 0.0 that follows the balances in ``_flat``. Every round yields
+    one decision per replication, so a row's incorrect decisions are
+    ``round_index`` minus ``v_correct``.
 
     Each round is recorded in ``history``, and its checks run, and its
     decisions reach ``v_correct``, once per history: when the history is
@@ -134,7 +139,8 @@ class TcrState:
         self.growth = growth[:, None]
         self.clamp_value = np.array([p.clamp_value for p in params])
         rows, n = is_engaged.shape
-        self.balances = np.empty((rows, n))
+        self._flat = np.zeros(rows * n + 1)
+        self.balances = self._flat[:-1].reshape(rows, n)
         self.balances[:] = initial[:, None]
         self.round_index = 0
         self.v_correct = np.zeros(rows, dtype=np.int64)
@@ -144,6 +150,9 @@ class TcrState:
                           ~is_informed & is_engaged, ~is_informed & ~is_engaged], axis=1)
         self._class_masks = masks
         self.class_sizes = masks.sum(axis=2)
+        if self.sigma_stake:  # its base: each row's UE voters, or all if it has none
+            ue = masks[:, _UE]
+            self._stake_base = _SegmentSums((ue | ~ue.any(axis=1, keepdims=True))[:, None])
         # The first draw of a round decides the item, the next N who intends to vote.
         self.draw_cutoffs = np.concatenate(
             (item_good[:, None],
@@ -158,27 +167,18 @@ class TcrState:
         self._votes = np.empty(rows * n)
         self._vote_grid = np.zeros((rows, n))
 
-    def class_tokens(self, balances: np.ndarray | None = None) -> np.ndarray:
-        """(R, 4) tokens held by each class, in ``VoterClass`` order.
-
-        ``balances`` defaults to the current ones; a (S, R, N) stack of
-        balances, such as S rounds' worth, gives (S, R, 4) in one pass, each
-        entry bit-equal to summing that (R, N) slice alone.
-        """
-        if balances is None:
-            balances = self.balances
-        return _grouped_sums(balances, self._class_groups, self.class_sizes.shape)
+    def class_tokens(self, rounds: int | None = None) -> np.ndarray:
+        """(R, 4) tokens held by each class now, in ``VoterClass`` order, or
+        (rounds, R, 4) after each of the first ``rounds`` slots of ``history``;
+        each entry has the bits of ``balances[r][class_mask].sum()``."""
+        if rounds is None:
+            return self._classes.sums(self._flat).reshape(self.class_sizes.shape)
+        return self._classes.sums(self.history.padded, rounds).reshape(
+            rounds, *self.class_sizes.shape)
 
     @cached_property
-    def _class_groups(self):
-        return _sum_groups(self._class_masks)
-
-    @cached_property
-    def _stake_base(self):
-        """Groups and sizes of each row's engaged-uninformed voters, or all voters if none."""
-        ue = self._class_masks[:, _UE]
-        base = ue | ~ue.any(axis=1, keepdims=True)
-        return _sum_groups(base[:, None]), base.sum(axis=1)
+    def _classes(self):
+        return _SegmentSums(self._class_masks, *self.history.padded.shape)
 
 
 def block_key(params: SimParams) -> tuple:
@@ -186,42 +186,42 @@ def block_key(params: SimParams) -> tuple:
     return params.num_voters, params.num_items, type(params.stake_policy)
 
 
-def _sum_groups(masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group the (replication, class) pairs of an (R, C, N) mask by class size.
+class _SegmentSums:
+    """Per-(replication, class) sums of the balances an (R, C, N) mask picks.
 
-    Each group is (positions in the flattened (R, C) output, (G, k) flat
-    indices into the (R, N) balances), so one row-wise sum covers every
-    k-voter class of the group.
+    One gather lays out R·C segments in (replication, class) order, each a
+    0.0 (read at flat index R·N) and then the class's balances in voter-id
+    order, and one ``np.add.reduceat`` sums them. numpy's ``add.reduce`` of
+    k values is 0.0 plus their pairwise sum, and ``reduceat`` of a segment
+    its first value plus the pairwise sum of the rest, so each sum has the
+    bits of ``balances[r][mask[r, c]].sum()``; an empty class sums to 0.0.
     """
-    r, c, n = masks.shape
-    sizes = masks.sum(axis=2).reshape(-1)
-    flat_masks = masks.reshape(r * c, n)
-    groups = []
-    for k in np.unique(sizes):
-        positions = np.flatnonzero(sizes == k)
-        cols = np.nonzero(flat_masks[positions])[1].reshape(positions.size, k)
-        groups.append((positions, cols + (positions // c)[:, None] * n))
-    return groups
 
+    def __init__(self, masks: np.ndarray, rounds: int = 1, stride: int = 0):
+        r, c, n = masks.shape
+        self.sizes = masks.sum(axis=2).reshape(-1)
+        rows, _, cols = np.concatenate((np.ones((r, c, 1), bool), masks), axis=2).nonzero()
+        self.chunk = max(1, min(rounds, GATHER_SLOTS // rows.size))
+        offsets = np.arange(self.chunk)[:, None]
+        self._stride = stride
+        self._index = (np.where(cols > 0, rows * n + cols - 1, r * n)
+                       + offsets * stride).reshape(-1)
+        self._starts = (np.flatnonzero(cols == 0) + offsets * rows.size).reshape(-1)
+        self._gathered = np.empty(self._index.size)
 
-def _grouped_sums(balances: np.ndarray, groups, shape) -> np.ndarray:
-    """Per-(replication, class) balance sums over ``_sum_groups`` groups.
-
-    ``balances`` is (R, N), or any stack (..., R, N) of them; the result has
-    shape ``shape``, or (...) + ``shape``. Each sum adds the same elements in the
-    same order as ``balances[..., r, :][class_mask].sum()``: a masked
-    ``np.where`` or ``np.add.reduceat`` would group them differently and
-    change the last digits. So does a gather that is not C-contiguous:
-    ``flat[..., idx]`` puts the stack axis innermost in memory, and numpy
-    then adds each class's elements in another order, so the gather is
-    ``np.take``, whose (..., G, k) result is contiguous in k.
-    """
-    lead = balances.shape[:-2]
-    flat = balances.reshape(*lead, -1)
-    out = np.empty((*lead, math.prod(shape)))
-    for positions, idx in groups:
-        out[..., positions] = np.add.reduce(np.take(flat, idx, axis=-1), axis=-1)
-    return out.reshape(*lead, *shape)
+    def sums(self, source: np.ndarray, rounds: int = 1) -> np.ndarray:
+        """(rounds, R·C) sums of the first ``rounds`` rows of ``source``, each
+        R·N balances and a zero, ``stride`` entries apart, a chunk at a time."""
+        flat = source.reshape(-1)
+        size, count = self._index.size // self.chunk, self._starts.size // self.chunk
+        out = np.empty((rounds, count))
+        for first in range(0, rounds, self.chunk):
+            k = min(self.chunk, rounds - first)
+            gathered = np.take(flat[first * self._stride:], self._index[:k * size],
+                               out=self._gathered[:k * size], mode="clip")
+            np.add.reduceat(gathered, self._starts[:k * count],
+                            out=out[first:first + k].reshape(-1))
+        return out
 
 
 def init_registry(params: SimParams | Sequence[SimParams], rosters) -> TcrState:
@@ -244,10 +244,10 @@ def init_registry(params: SimParams | Sequence[SimParams], rosters) -> TcrState:
 
 
 def required_stake(state: TcrState, total: np.ndarray) -> np.ndarray:
-    """(R,) stake every participant must lock this round, given the (R,) token supply."""
+    """(R,) stake every participant must lock this round, given the (R,) token supply;
+    under the sigma stake, sigma times each row's mean UE balance (all voters' if none)."""
     if state.sigma_stake:
-        groups, sizes = state._stake_base
-        base = _grouped_sums(state.balances, groups, sizes.shape) / sizes
+        base = state._stake_base.sums(state._flat)[0] / state._stake_base.sizes
     else:
         base = total / state.num_voters
     return state.stake_factor * base

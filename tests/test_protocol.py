@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tcrlab.params import AnalysisSigmaStake, ConfigurationError, SimParams
-from tcrlab.protocol import InvariantViolation, init_registry, required_stake, run_round
+from tcrlab.protocol import (GATHER_SLOTS, History, InvariantViolation, init_registry,
+                             required_stake, run_round)
 from tcrlab.voters import RngStream
 
 # Engaged voters always intend and disengaged never do; informed voters are
@@ -52,6 +53,23 @@ class TestInitRegistry:
             init_registry(params, [[(True, True)] * 4])
 
 
+def spread_balances(gen, shape):
+    """Random positive balances spread over eight orders of magnitude."""
+    return gen.random(shape) * 10.0 ** gen.integers(-3, 6, shape)
+
+
+def test_reduceat_of_a_zero_led_segment_has_the_bits_of_add_reduce():
+    # The class-token and stake sums rest on this: np.add.reduce of x is
+    # 0.0 + pairwise(x), and np.add.reduceat of [0.0, *x] is the same. Three
+    # vectors of every length from 0 past the 128-element pairwise block.
+    gen = np.random.default_rng(3)
+    vectors = [spread_balances(gen, k) for k in range(301) for _ in range(3)]
+    segments = np.concatenate([np.concatenate(([0.0], x)) for x in vectors])
+    starts = np.cumsum([0] + [x.size + 1 for x in vectors[:-1]])
+    expected = np.array([np.add.reduce(x) for x in vectors])
+    assert np.add.reduceat(segments, starts).tobytes() == expected.tobytes()
+
+
 class TestClassTokens:
     # Class sizes per row, in VoterClass order (IE, ID, UE, UD), of a
     # 400-voter block: empty, 1-7, 8-128 and above-128 classes, different
@@ -67,12 +85,16 @@ class TestClassTokens:
             rosters.append([pairs[i] for i in gen.permutation(len(pairs))])
         state = init_registry(SimParams(num_voters=400), rosters)
         assert state.class_sizes.tolist() == [list(sizes) for sizes in self.SIZES]
-        # Six rounds of balances spread over eight orders of magnitude.
-        shape = (6, *state.balances.shape)
-        history = gen.random(shape) * 10.0 ** gen.integers(-3, 6, shape)
-        stacked = state.class_tokens(history)
-        assert stacked.shape == (6, len(self.SIZES), 4)
-        for k, balances in enumerate(history):
+        # The history path gathers 5 rounds of 1600 balances and 16 zeros at
+        # a time, so 7 rounds take a full chunk and a partial one.
+        depth = 7
+        assert GATHER_SLOTS // (400 * 4 + 16) == 5
+        history = state.history = History(depth, *state.balances.shape)
+        history.balances[:] = spread_balances(gen, history.balances.shape)
+        stacked = state.class_tokens(depth)
+        assert stacked.shape == (depth, len(self.SIZES), 4)
+        assert state.class_tokens(3).tobytes() == stacked[:3].tobytes()
+        for k, balances in enumerate(history.balances):
             state.balances[:] = balances
             direct = np.array([[balances[r][state._class_masks[r, c]].sum() for c in range(4)]
                                for r in range(len(self.SIZES))])
@@ -121,6 +143,24 @@ class TestRequiredStake:
                                        [(True, True), (False, True)]])
         state.balances[:] = [[50.0, 150.0], [50.0, 150.0]]
         assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([5.0, 10.0])
+
+    def test_analysis_sigma_base_bit_for_bit(self):
+        # Rows of 400 voters with 0 (the all-voter fallback), 1, 7, 8, 128,
+        # 129 and 400 engaged-uninformed voters; the rest informed.
+        gen = np.random.default_rng(5)
+        ue_sizes = [0, 1, 7, 8, 128, 129, 400]
+        rosters = [[(True, False)] * k + [(bool(gen.integers(2)), True) for _ in range(400 - k)]
+                   for k in ue_sizes]
+        rosters = [[roster[i] for i in gen.permutation(400)] for roster in rosters]
+        params = SimParams(num_voters=400, stake_policy=AnalysisSigmaStake(sigma=0.07))
+        state = init_registry(params, rosters)
+        for _ in range(3):
+            state.balances[:] = spread_balances(gen, state.balances.shape)
+            stake = required_stake(state, state.balances.sum(axis=1))
+            for r, k in enumerate(ue_sizes):
+                base = state._class_masks[r, 2] if k else np.ones(400, dtype=bool)
+                expected = state.stake_factor[r] * (state.balances[r][base].sum() / base.sum())
+                assert stake[r].tobytes() == expected.tobytes(), k
 
 
 class TestSettlement:
