@@ -28,7 +28,7 @@ from .analysis import (
     total_tokens,
     value_per_token,
 )
-from .metrics import CLASS_ORDER, METRIC_NAMES, metric_rows
+from .metrics import METRIC_NAMES, metric_rows
 from .params import AnalysisSigmaStake, ConfigurationError, SimParams, check_fields, check_seed
 from .protocol import (
     History,
@@ -66,8 +66,8 @@ class Trace(NamedTuple):
     class_sizes: np.ndarray
 
 
-# The History slots a run keeps for every round: what the metrics rows are
-# computed from, then each round's stake, item, decision and voter counts.
+# A run's per-round columns: its correct decisions so far and supply, which the
+# metrics rows are computed from, then its stake, item, decision and voter counts.
 ROUND_COLUMNS = ("v_correct", "total", "stake", "item_good", "decision_add", "n_intends",
                  "n_eligible", "n_add")
 
@@ -101,13 +101,13 @@ def run_block(params: Sequence[SimParams], seeds: list[int]) -> np.ndarray:
 
 def _advance(state: TcrState, rngs: list[RngStream]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Run every round of a block; returns its (R, rounds, metrics) rows and
-    its (R, rounds) columns of each of ``ROUND_COLUMNS``.
+    its (R, rounds) columns of each of ``ROUND_COLUMNS``, views of its history.
 
-    The state's history is sized to as many rounds as fit in HISTORY_SLOTS
-    voter slots (at least one). ``run_round`` records each round in it, and
-    once per history, when it is full or the run ends, every recorded round
-    is checked and copied out: its ``ROUND_COLUMNS`` slots and, in one pass,
-    its class tokens. The rows are computed once, at the end.
+    The state's history records the whole run. Its ring holds the balances
+    of as many rounds as fit in HISTORY_SLOTS voter slots (at least one):
+    ``run_round`` checks each full ring and sums its class tokens, and the
+    last, partial ring is checked here. The rows are computed once, at the
+    end.
 
     A block of at least READ_AHEAD_ROWS replications and at most
     READ_AHEAD_VOTERS voters, where two or more of its rounds fit
@@ -117,29 +117,23 @@ def _advance(state: TcrState, rngs: list[RngStream]) -> tuple[np.ndarray, dict[s
     """
     replications, rounds = len(rngs), state.num_items
     depth = max(1, min(rounds, HISTORY_SLOTS // state.balances.size))
-    history = state.history = History(depth, *state.balances.shape)
+    h = state.history = History(depth, rounds, *state.balances.shape)
     n = state.num_voters
     ahead = min(rounds, READ_AHEAD_SLOTS // (replications * (2 * n + 1)))
     if replications >= READ_AHEAD_ROWS and n <= READ_AHEAD_VOTERS and ahead >= 2:
         state.read_ahead = ReadAhead(rngs, n, rounds, ahead)
-    columns = {name: np.empty((replications, rounds), getattr(history, name).dtype)
-               for name in ROUND_COLUMNS}
-    tokens = np.empty((replications, rounds, len(CLASS_ORDER)))
     with np.errstate(over="ignore", invalid="ignore"):  # check_rounds checks every row
-        for first in range(0, rounds, depth):
-            last = min(first + depth, rounds)
-            for _ in range(first, last):
-                run_round(state, rngs)
-            check_rounds(state, rngs)  # a full history is checked already
-            done = last - first
-            for name, column in columns.items():
-                column[:, first:last] = getattr(history, name)[:done].T
-            tokens[:, first:last] = state.class_tokens(done).swapaxes(0, 1)
+        for _ in range(rounds):
+            run_round(state, rngs)
+        check_rounds(state, rngs)
     if state.read_ahead is not None:
         state.read_ahead.close()
         state.read_ahead = None
+    columns = {"v_correct": np.cumsum(h.decision_add == h.item_good, axis=0).T,
+               **{name: getattr(h, name).T for name in ROUND_COLUMNS[1:]}}
     rows = metric_rows(state.clamp_value[:, None], state.class_sizes[:, None],
-                       columns["v_correct"], np.arange(1, rounds + 1), columns["total"], tokens)
+                       columns["v_correct"], np.arange(1, rounds + 1), columns["total"],
+                       h.tokens.swapaxes(0, 1))
     return rows, columns
 
 

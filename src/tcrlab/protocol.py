@@ -4,7 +4,8 @@ One round processes one candidate item: draw the item, compute the required
 stake, draw participation intents and filter out those that cannot cover
 the stake, draw the eligible voters' votes, tally them, move the stake pool
 to the winning side, inflate the balances of everyone who voted, and record
-the round's decision and vote counts in the state's history.
+the round's stake, totals, item, decision and vote counts in the state's
+history, once, in the round's row of the run's record.
 
 A state holds a block of R replications advanced in lockstep: balances are
 an (R, N) array, one row per replication, and a round writes only its
@@ -50,8 +51,7 @@ class Round(NamedTuple):
     """What one round did in every replication of a block: (R,) and (R, N) arrays.
 
     ``decision_add``, ``n_eligible`` and ``n_add`` are views of the round's
-    slot in ``TcrState.history``: the next round written to that slot
-    overwrites them.
+    row in ``TcrState.history``.
     """
 
     round_index: int
@@ -67,29 +67,29 @@ class Round(NamedTuple):
 
 
 class History:
-    """The last rounds of a block, as ``run_round`` recorded them: one slot a round.
+    """A block's run as ``run_round`` records it: row k of each column is round k.
 
-    A slot holds the round's (R, N) balances after inflation and its (R,)
-    stake, token totals before and after settlement, participant tokens
-    after settlement and supply after inflation; whether the item was good
-    and whether it was added; and the counts of intending, eligible and add
-    voters. ``size`` slots are filled and the first ``checked`` of them have
-    been checked; ``v_correct`` holds the running correct-decision count of
-    each checked slot. A full history starts over at slot 0 with the next
-    round. A slot's balances lead its row of ``padded``, whose zero tail
-    (to a multiple of 8 entries) the class-token sums read.
+    The (rounds, R) columns hold each round's stake, token totals before and
+    after settlement, participant tokens after settlement and supply after
+    inflation; whether the item was good and whether it was added; and the
+    counts of intending, eligible and add voters. ``tokens`` (rounds, R, 4)
+    holds each class's tokens after a round once it is checked. Only the (R, N)
+    balances after inflation are kept in a ring of ``depth`` slots: round k
+    is in slot k - ``checked`` until ``check_rounds`` checks it and the ring
+    starts over. A slot's balances lead its row of ``padded``, whose zero
+    tail (to a multiple of 8 entries) the class-token sums read.
     """
 
-    def __init__(self, depth: int, rows: int, n: int):
+    def __init__(self, depth: int, rounds: int, rows: int, n: int):
         self.depth = depth
         self.padded = np.zeros((depth, rows * n // 8 * 8 + 8))
         self.balances = self.padded[:, :rows * n].reshape(depth, rows, n)
         (self.stake, self.pre_settle, self.post_settle, self.participant_tokens,
-         self.total) = np.empty((5, depth, rows))
-        self.item_good, self.decision_add = np.empty((2, depth, rows), dtype=bool)
-        self.n_intends, self.n_eligible, self.n_add, self.v_correct = np.empty(
-            (4, depth, rows), dtype=np.int64)
-        self.size = self.checked = 0
+         self.total) = np.empty((5, rounds, rows))
+        self.item_good, self.decision_add = np.empty((2, rounds, rows), dtype=bool)
+        self.n_intends, self.n_eligible, self.n_add = np.empty((3, rounds, rows), dtype=np.int64)
+        self.tokens = np.empty((rounds, rows, len(VoterClass)))
+        self.checked = 0
 
 
 class TcrState:
@@ -101,14 +101,13 @@ class TcrState:
     held here once, as an (R,) or (R, 1) column. Classes never change
     during a run, so their sizes, an (R, 4) array in ``VoterClass`` order,
     and the gathers that sum each class's tokens are fixed here; the sums
-    read the 0.0 that follows the balances in ``_flat``. Every round yields
-    one decision per replication, so a row's incorrect decisions are
-    ``round_index`` minus ``v_correct``.
+    read the 0.0 that follows the balances in ``_flat``.
 
-    Each round is recorded in ``history``, and its checks run, and its
-    decisions reach ``v_correct``, once per history: when the history is
-    full or ``check_rounds`` is called. The history holds one round unless
-    a caller replaces it with a deeper one, so by default every round is
+    Each round is recorded in ``history``, which has a row for each of the
+    run's ``num_items`` rounds; its checks run, and its class tokens are
+    summed, once per ring of balances: when the ring is full or
+    ``check_rounds`` is called. The ring holds one round unless a caller
+    replaces the history with a deeper one, so by default every round is
     checked as it ends.
 
     Rounds call each row's stream for their draws, unless ``read_ahead``
@@ -143,8 +142,7 @@ class TcrState:
         self.balances = self._flat[:-1].reshape(rows, n)
         self.balances[:] = initial[:, None]
         self.round_index = 0
-        self.v_correct = np.zeros(rows, dtype=np.int64)
-        self.history = History(1, rows, n)
+        self.history = History(1, self.num_items, rows, n)
         # (R, 4, N) in VoterClass order: IE, ID, UE, UD.
         masks = np.stack([is_informed & is_engaged, is_informed & ~is_engaged,
                           ~is_informed & is_engaged, ~is_informed & ~is_engaged], axis=1)
@@ -169,7 +167,7 @@ class TcrState:
 
     def class_tokens(self, rounds: int | None = None) -> np.ndarray:
         """(R, 4) tokens held by each class now, in ``VoterClass`` order, or
-        (rounds, R, 4) after each of the first ``rounds`` slots of ``history``;
+        (rounds, R, 4) after each of the first ``rounds`` ring slots of ``history``;
         each entry has the bits of ``balances[r][class_mask].sum()``."""
         if rounds is None:
             return self._classes.sums(self._flat).reshape(self.class_sizes.shape)
@@ -263,16 +261,14 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     buffer, every row at once, instead of calling the streams.
     Settlement and inflation write only the eligible voters' balances, at
     the flat indices the vote draws are placed at. The round is recorded in
-    ``state.history``; when that fills, every round in it is checked
-    (``check_rounds``). Callers run it under
-    ``np.errstate(over="ignore", invalid="ignore")``: a row that overflows
-    or turns NaN runs on until its history is checked, which reports the
-    first failing round once.
+    its row of ``state.history``, and its balances in the ring; when the
+    ring fills, every round in it is checked (``check_rounds``). Callers run
+    it under ``np.errstate(over="ignore", invalid="ignore")``: a row that
+    overflows or turns NaN runs on until its ring is checked, which reports
+    the first failing round once.
     """
     h = state.history
-    if h.size == h.depth:
-        h.size = h.checked = 0
-    s = h.size
+    s = state.round_index
     bal = state.balances
     n = state.num_voters
     pre_settle_total = np.add.reduce(bal, axis=1, out=h.pre_settle[s])
@@ -327,27 +323,27 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     np.add.reduce(bal * eligible, axis=1, out=h.participant_tokens[s])
     flat[idx] *= state.growth.ravel()[row]
     np.add.reduce(bal, axis=1, out=h.total[s])
-    h.balances[s] = bal
+    h.balances[s - h.checked] = bal
     state.round_index += 1
-    h.size += 1
-    if h.size == h.depth:
+    if state.round_index - h.checked == h.depth:
         check_rounds(state, rngs)
-    return Round(state.round_index - 1, item_good, stake, intends, eligible, add,
-                 decision_add, payout, n_eligible, n_add)
+    return Round(s, item_good, stake, intends, eligible, add, decision_add, payout,
+                 n_eligible, n_add)
 
 
 def check_rounds(state: TcrState, rngs: Sequence[RngStream]) -> None:
-    """Check every round recorded since the last check; count their correct decisions.
+    """Check the rounds in the history's ring and sum their class tokens; the ring starts over.
 
     Conservation, inflation bookkeeping and non-negativity hold in every
     row of every such round, or the first round that breaks one raises, as
-    ``_check_round`` reports it. ``state.v_correct`` then counts those
-    rounds' correct decisions.
+    ``_check_round`` reports it. Each round's class tokens then fill its row
+    of ``history.tokens``.
     """
     h = state.history
-    lo, hi = h.checked, h.size
+    lo, hi = h.checked, state.round_index
     if lo == hi:
         return
+    balances = h.balances[:hi - lo]
     pre, post, total = h.pre_settle[lo:hi], h.post_settle[lo:hi], h.total[lo:hi]
     expected = post + state.inflation_rate * h.participant_tokens[lo:hi]
     # One test per round that implies every check of _check_round, since
@@ -356,16 +352,12 @@ def check_rounds(state: TcrState, rngs: Sequence[RngStream]) -> None:
     # does there. Only the rounds that fail it are checked row by row.
     fine = ((np.hypot(post - pre, total - expected)
              / np.maximum(np.minimum(pre, expected), 1.0)).max(axis=1) <= 0.5 * REL_TOL)
-    fine &= h.balances[lo:hi].min(axis=(1, 2)) >= -REL_TOL
+    fine &= balances.min(axis=(1, 2)) >= -REL_TOL
     if not fine.all():
-        first = state.round_index - (hi - lo)
         for s in np.flatnonzero(~fine).tolist():
-            _check_round(state, rngs, first + s, h.balances[lo + s], h.stake[lo + s],
+            _check_round(state, rngs, lo + s, balances[s], h.stake[lo + s],
                          pre[s], post[s], total[s], expected[s])
-    counts = np.cumsum(h.decision_add[lo:hi] == h.item_good[lo:hi], axis=0,
-                       out=h.v_correct[lo:hi])
-    counts += state.v_correct
-    state.v_correct[:] = counts[-1]
+    h.tokens[lo:hi] = state.class_tokens(hi - lo)
     h.checked = hi
 
 

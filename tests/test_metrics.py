@@ -12,9 +12,13 @@ TOKENS = [f"tokens_{cls.value}" for cls in CLASS_ORDER]
 WEALTH = [f"wealth_{cls.value}" for cls in CLASS_ORDER]
 
 
-def snapshot(state):
-    """The metric rows of a block's current state."""
-    return metric_rows(state.clamp_value, state.class_sizes, state.v_correct,
+def snapshot(state, v_correct=None):
+    """The metric rows of a block's current state; ``v_correct`` defaults to
+    each row's correct decisions in the rounds its history records."""
+    if v_correct is None:
+        h, k = state.history, state.round_index
+        v_correct = (h.decision_add[:k] == h.item_good[:k]).sum(axis=0)
+    return metric_rows(state.clamp_value, state.class_sizes, v_correct,
                        state.round_index, state.balances.sum(axis=1), state.class_tokens())
 
 
@@ -93,7 +97,7 @@ class TestSnapshot:
     def test_clamping(self):
         state = mixed_state()
         state.round_index = 3  # three incorrect decisions
-        row = named(snapshot(state))
+        row = named(snapshot(state, np.array([0])))
         assert row["lurp_raw"] == -3
         assert row["lurp_clamped"] == 0
         for w in WEALTH:
@@ -102,7 +106,7 @@ class TestSnapshot:
     def test_raw_value_used_when_clamp_disabled(self):
         state = mixed_state(clamp_value=False)
         state.round_index = 2  # two incorrect decisions
-        row = named(snapshot(state))
+        row = named(snapshot(state, np.array([0])))
         assert row["wealth_IE"] == pytest.approx((-2 / 400.0) * 100.0)
 
     def test_idempotent(self):
@@ -118,9 +122,8 @@ class TestSnapshot:
         state = init_registry(params, [[(True, True), (True, True), (True, False), (True, False)],
                                        [(True, True), (False, True), (True, False), (False, False)]])
         state.balances[1] = [10.0, 20.0, 30.0, 40.0]
-        state.v_correct[:] = [2, 5]
         state.round_index = 5
-        rows = snapshot(state)
+        rows = snapshot(state, np.array([2, 5]))
         assert rows.shape == (2, len(METRIC_NAMES))
         assert rows[:, 0].tolist() == [-1.0, 5.0]
         assert rows[:, 1].tolist() == [0.0, 5.0]

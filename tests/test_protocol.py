@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from tcrlab import protocol
 from tcrlab.params import AnalysisSigmaStake, ConfigurationError, SimParams
 from tcrlab.protocol import (GATHER_SLOTS, History, InvariantViolation, init_registry,
                              required_stake, run_round)
-from tcrlab.voters import RngStream
+from tcrlab.voters import RngStream, sample_roster
 
 # Engaged voters always intend and disengaged never do; informed voters are
 # always correct and uninformed always wrong; every item is good. A round's
@@ -32,12 +33,18 @@ def ids(mask):
     return np.flatnonzero(mask).tolist()
 
 
+def correct_decisions(state):
+    """Each row's correct decisions so far, from its history's columns."""
+    h, k = state.history, state.round_index
+    return (h.decision_add[:k] == h.item_good[:k]).sum(axis=0)
+
+
 class TestInitRegistry:
     def test_table_defaults(self):
         state = make_state(n=100, initial_tokens=100.0)
         assert state.balances.sum(axis=1).tolist() == [10000.0]
         assert state.round_index == 0
-        assert state.v_correct.tolist() == [0]
+        assert correct_decisions(state).tolist() == [0]
 
     def test_single_voter(self):
         state = make_state(n=1)
@@ -89,7 +96,7 @@ class TestClassTokens:
         # a time, so 7 rounds take a full chunk and a partial one.
         depth = 7
         assert GATHER_SLOTS // (400 * 4 + 16) == 5
-        history = state.history = History(depth, *state.balances.shape)
+        history = state.history = History(depth, state.num_items, *state.balances.shape)
         history.balances[:] = spread_balances(gen, history.balances.shape)
         stacked = state.class_tokens(depth)
         assert stacked.shape == (depth, len(self.SIZES), 4)
@@ -100,6 +107,49 @@ class TestClassTokens:
                                for r in range(len(self.SIZES))])
             assert state.class_tokens().tobytes() == direct.tobytes(), k
             assert stacked[k].tobytes() == direct.tobytes(), k
+
+
+def test_run_round_by_hand_past_several_rings(monkeypatch):
+    # A 3-deep ring over 7 rounds, with no harness: two full rings that
+    # run_round checks, then a one-round tail that check_rounds is called for.
+    params = [SimParams(num_voters=20, num_items=7, p_informed=p, inflation_rate=0.05)
+              for p in (0.2, 0.5, 0.9)]
+    rosters = [sample_roster(p, RngStream(seed)) for seed, p in enumerate(params)]
+    state = init_registry(params, rosters)
+    h = state.history = History(3, 7, *state.balances.shape)
+    rngs = [RngStream(10 + r) for r in range(3)]
+    checked = []
+    check_rounds = protocol.check_rounds
+
+    def record(state, rngs):
+        checked.append((state.history.checked, state.round_index))
+        check_rounds(state, rngs)
+
+    monkeypatch.setattr(protocol, "check_rounds", record)
+    views = ("decision_add", "n_eligible", "n_add")
+    returned, values, balances = [], [], []
+    for _ in range(7):
+        rnd = run_round(state, rngs)
+        returned.append(rnd)
+        values.append([getattr(rnd, name).copy() for name in views])
+        balances.append(state.balances.copy())
+    assert checked == [(0, 3), (3, 6)]
+    protocol.check_rounds(state, rngs)
+    protocol.check_rounds(state, rngs)  # nothing is left to check
+    assert checked == [(0, 3), (3, 6), (6, 7), (7, 7)] and h.checked == 7
+    for k, after in enumerate(balances):
+        direct = np.array([[after[r][state._class_masks[r, c]].sum() for c in range(4)]
+                           for r in range(3)])
+        assert h.tokens[k].tobytes() == direct.tobytes(), k
+    # Rounds 3 and 6 took round 0's ring slot; its counts differ from theirs.
+    assert not np.array_equal(values[3][1], values[0][1])
+    assert not np.array_equal(values[6][1], values[0][1])
+    # Each Round's views are its own history row, which no later round writes.
+    for k, rnd in enumerate(returned):
+        assert rnd.round_index == k
+        for name, value in zip(views, values[k]):
+            assert np.array_equal(getattr(rnd, name), value), (k, name)
+            assert np.array_equal(getattr(h, name)[k], value), (k, name)
 
 
 class TestRequiredStake:
@@ -288,7 +338,7 @@ class TestRunRound:
         assert (rnd.n_add[0], rnd.n_eligible[0] - rnd.n_add[0], rnd.n_eligible[0]) == (35, 25, 60)
         assert rnd.item_good[0] and rnd.decision_add[0]
         assert rnd.round_index == 0
-        assert state.v_correct.tolist() == [1]
+        assert correct_decisions(state).tolist() == [1]
         assert state.round_index == 1
         assert not (rnd.add & ~rnd.eligible).any()
 
@@ -298,7 +348,7 @@ class TestRunRound:
         rnd = one_round(state)
         assert ids(rnd.intends[0]) == []
         assert not rnd.item_good[0] and not rnd.decision_add[0]
-        assert state.v_correct.tolist() == [1]
+        assert correct_decisions(state).tolist() == [1]
         assert np.array_equal(state.balances, before)
 
     def test_vote_from_ineligible_voter_rejected(self):
