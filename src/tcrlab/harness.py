@@ -39,7 +39,7 @@ from .protocol import (
     init_registry,
     run_round,
 )
-from .voters import ReadAhead, RngStream, sample_roster
+from .voters import ReadAhead, RngStream, sample_roster, sample_rosters
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -87,15 +87,17 @@ def run_simulation(config: RunConfig) -> Trace:
                  state.class_sizes[0])
 
 
-def run_block(params: Sequence[SimParams], seeds: list[int]) -> np.ndarray:
+def run_block(params: Sequence[SimParams], seeds: Sequence[int] | np.ndarray) -> np.ndarray:
     """Replications in lockstep, row r with ``params[r]`` and a stream seeded
     ``seeds[r]``; (len(seeds), rounds, metrics) array.
 
-    The params must share a ``block_key``. Each replication's rows are those
-    ``run_simulation`` gives for its params and seed.
+    The params must share a ``block_key``. The block's streams come from one
+    hash of all its seeds (``RngStream.block``) and its rosters from one
+    ``sample_rosters`` call, so each replication's stream and roster, and
+    its rows, are those ``run_simulation`` gives for its params and seed.
     """
-    rngs = [RngStream(seed) for seed in seeds]
-    state = init_registry(params, [sample_roster(p, rng) for p, rng in zip(params, rngs)])
+    rngs = RngStream.block(seeds)
+    state = TcrState(params, *sample_rosters(params, rngs))
     return _advance(state, rngs)[0]
 
 
@@ -138,20 +140,45 @@ def _advance(state: TcrState, rngs: list[RngStream]) -> tuple[np.ndarray, dict[s
 
 
 _MASK64 = (1 << 64) - 1
+_MIX_ADD, _MIX_MUL_1, _MIX_MUL_2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _mix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = (x + _MIX_ADD) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX_MUL_1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX_MUL_2) & _MASK64
     return x ^ (x >> 31)
+
+
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """``_mix64`` of each entry of a uint64 array, whose arithmetic wraps as the masks do."""
+    x = x + np.uint64(_MIX_ADD)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX_MUL_1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX_MUL_2)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _cell_hash(base_seed: int, cell_index: int) -> int:
+    return _mix64((base_seed & _MASK64) ^ _mix64(cell_index & _MASK64))
 
 
 def derive_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
     """Fixed 64-bit mixing of (base seed, grid cell, replication)."""
-    h = base_seed & _MASK64
-    h = _mix64(h ^ _mix64(cell_index & _MASK64))
-    return _mix64(h ^ _mix64(rep_index & _MASK64))
+    return _mix64(_cell_hash(base_seed, cell_index) ^ _mix64(rep_index & _MASK64))
+
+
+def derive_seeds(base_seed: int, ranges: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """``derive_seed`` of replications start..stop-1 of each (cell_index,
+    start, stop), in order, as one uint64 array: each cell is hashed once and
+    every replication is mixed in one array pass."""
+    cells = np.array([_cell_hash(base_seed, cell_index) for cell_index, _, _ in ranges],
+                     dtype=np.uint64)
+    reps = np.concatenate([np.arange(start, stop, dtype=np.uint64) for _, start, stop in ranges])
+    return _mix64_array(np.repeat(cells, [stop - start for _, start, stop in ranges])
+                        ^ _mix64_array(reps))
 
 
 # Voter slots (replications x voters) per lockstep block; larger groups of
@@ -211,17 +238,19 @@ def _block_task(task: tuple[int, tuple[Segment, ...], int | None]) -> list:
     rendered here by ``_reduce_cell`` on the block's contiguous slice of its
     rows, so its part is the cell's ``(stats, counts, csv_rows,
     json_rounds)``. Every other segment's part is its (rows, rounds,
-    metrics) rows; with ``cell_size`` None every part is. An
-    ``InvariantViolation`` is raised again with its cell and replication.
+    metrics) rows; with ``cell_size`` None every part is. The block's seeds
+    are derived in one pass (``derive_seeds``). An ``InvariantViolation`` is
+    raised again with its cell and replication.
     """
     base_seed, segments, cell_size = task
-    rows = [(cell_index, params, rep)
-            for _, cell_index, params, start, stop in segments for rep in range(start, stop)]
+    params = [p for _, _, p, start, stop in segments for _ in range(start, stop)]
+    ranges = [(cell_index, start, stop) for _, cell_index, _, start, stop in segments]
     try:
-        block = run_block([params for _, params, _ in rows],
-                          [derive_seed(base_seed, cell_index, rep) for cell_index, _, rep in rows])
+        block = run_block(params, derive_seeds(base_seed, ranges))
     except InvariantViolation as exc:
-        cell_index, _, rep = ("?", None, "?") if exc.row is None else rows[exc.row]
+        rows = [(cell_index, rep) for cell_index, start, stop in ranges
+                for rep in range(start, stop)]
+        cell_index, rep = ("?", "?") if exc.row is None else rows[exc.row]
         raise InvariantViolation(f"cell {cell_index}, replication {rep}: {exc}") from exc
     parts, offset = [], 0
     for *_, start, stop in segments:

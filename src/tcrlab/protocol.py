@@ -98,7 +98,8 @@ class TcrState:
     Balances, engagement and informedness are (R, N) arrays indexed by
     (replication row, voter id). Row r runs with ``params[r]``; the rows of
     a block share a ``block_key``, and everything else a cell may vary is
-    held here once, as an (R,) or (R, 1) column. Classes never change
+    held here once, as an (R,) or (R, 1) column, read once from each
+    distinct params object and repeated over its rows. Classes never change
     during a run, so their sizes, an (R, 4) array in ``VoterClass`` order,
     and the gathers that sum each class's tokens are fixed here; the sums
     read the 0.0 that follows the balances in ``_flat``.
@@ -118,25 +119,29 @@ class TcrState:
 
     def __init__(self, params: Sequence[SimParams], is_engaged: np.ndarray,
                  is_informed: np.ndarray):
-        if len({block_key(p) for p in params}) != 1:
+        distinct = list({id(p): p for p in params}.values())
+        if len({block_key(p) for p in distinct}) != 1:
             raise ConfigurationError(
                 "the rows of a block must share num_voters, num_items and the stake policy kind"
             )
+        index = {id(p): i for i, p in enumerate(distinct)}
+        which = np.array([index[id(p)] for p in params])
         self.params = tuple(params)
         self.num_voters, self.num_items, policy = block_key(params[0])
         self.sigma_stake = policy is AnalysisSigmaStake
-        # Derived values such as 1 + delta are computed in Python, row by row,
-        # so each column entry is the float a scalar parameter would give.
+        # Derived values such as 1 + delta are computed in Python, once per
+        # params object, so each column entry is the float a scalar parameter
+        # would give.
         (initial, growth, self.inflation_rate, self.stake_factor, item_good, vote_engaged,
          vote_disengaged, correct_informed, correct_uninformed) = np.array([
             (p.initial_tokens, 1.0 + p.inflation_rate, p.inflation_rate,
              p.stake_policy.sigma if self.sigma_stake else p.initial_stake / p.initial_tokens,
              p.p_item_good, p.p_vote_engaged, p.p_vote_disengaged,
              p.p_correct_informed, p.p_correct_uninformed)
-            for p in params
-        ], dtype=np.float64).T
+            for p in distinct
+        ], dtype=np.float64)[which].T
         self.growth = growth[:, None]
-        self.clamp_value = np.array([p.clamp_value for p in params])
+        self.clamp_value = np.array([p.clamp_value for p in distinct])[which]
         rows, n = is_engaged.shape
         self._flat = np.zeros(rows * n + 1)
         self.balances = self._flat[:-1].reshape(rows, n)
@@ -193,12 +198,17 @@ class _SegmentSums:
     k values is 0.0 plus their pairwise sum, and ``reduceat`` of a segment
     its first value plus the pairwise sum of the rest, so each sum has the
     bits of ``balances[r][mask[r, c]].sum()``; an empty class sums to 0.0.
+    The gather's index comes from the flat positions of the mask with each
+    segment's leading zero prepended, split into (replication, position).
     """
 
     def __init__(self, masks: np.ndarray, rounds: int = 1, stride: int = 0):
         r, c, n = masks.shape
         self.sizes = masks.sum(axis=2).reshape(-1)
-        rows, _, cols = np.concatenate((np.ones((r, c, 1), bool), masks), axis=2).nonzero()
+        # The (replication, position) of each entry of the (R, C, N + 1)
+        # mask, position 0 the leading zero, in row-major order.
+        picked = np.flatnonzero(np.concatenate((np.ones((r, c, 1), bool), masks), axis=2))
+        rows, cols = picked // (c * (n + 1)), picked % (n + 1)
         self.chunk = max(1, min(rounds, GATHER_SLOTS // rows.size))
         offsets = np.arange(self.chunk)[:, None]
         self._stride = stride

@@ -1,8 +1,11 @@
 """Seeded randomness and the four-class stochastic voter model.
 
 Draw order contract (what makes traces replayable): a run owns a single
-stream seeded once. The roster is sampled first (one block of uniforms for
-engagement, then one for informedness, voter-id order). Then, per round:
+stream, ``PCG64(seed)``, however it is built (a block builds its streams
+from one array pass of ``SeedSequence``'s hash over all its seeds; the bit
+generator's state is the same). The roster is sampled first (one block of
+uniforms for engagement, then one for informedness, voter-id order; the two
+blocks may be drawn as one vector of 2N). Then, per round:
 one draw for the item's polarity, one participation draw per voter in
 voter-id order, and finally one vote draw per *eligible* participant in
 voter-id order. The item and participation draws are taken as one vector
@@ -16,19 +19,42 @@ stream ends at, are the same as with one call per draw vector.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import SimParams
 
+if TYPE_CHECKING:
+    from numpy.random.bit_generator import ISeedSequence
+
 
 class RngStream:
-    """A seeded uniform stream; identical seed gives an identical sequence."""
+    """A seeded uniform stream, ``PCG64(seed)``; identical seed gives an identical sequence.
 
-    def __init__(self, seed: int):
+    ``seed_seq``, when given, is the seed's ``seedseq.SeedWords`` (``block``
+    builds them); without it ``PCG64`` hashes the seed itself.
+    """
+
+    def __init__(self, seed: int, seed_seq: ISeedSequence | None = None):
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = np.random.Generator(
+            np.random.PCG64(self.seed if seed_seq is None else seed_seq))
+
+    @classmethod
+    def block(cls, seeds: Sequence[int] | np.ndarray) -> list[RngStream]:
+        """One stream per seed, in order, each ``PCG64(seed)``, from one hash
+        of all the seeds (``seedseq.seed_words``). The hash has a fixed cost of
+        a few ``PCG64(seed)`` calls, after which each stream costs a fraction
+        of one. ``seedseq`` loads ``numpy.random``, as a stream does, so it is
+        imported here: importing tcrlab loads neither."""
+        from .seedseq import SeedWords, seed_words
+
+        seeds = np.asarray(seeds, dtype=np.uint64)
+        return [cls(seed, SeedWords(words))
+                for seed, words in zip(seeds.tolist(), seed_words(seeds))]
 
     def uniform(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """n draws in [0, 1); written into ``out``, which must hold exactly n, when given."""
@@ -114,13 +140,26 @@ class VoterClass(enum.Enum):
     UNINFORMED_DISENGAGED = "UD"
 
 
-def sample_roster(params: SimParams, rng: RngStream) -> np.ndarray:
-    """Sample (is_engaged, is_informed) per voter from two independent Bernoullis.
+def sample_rosters(params: Sequence[SimParams],
+                   rngs: Sequence[RngStream]) -> tuple[np.ndarray, np.ndarray]:
+    """Sample each row's (is_engaged, is_informed) per voter from two
+    independent Bernoullis, row r with ``params[r]`` from stream ``rngs[r]``.
 
-    Returns an (N, 2) boolean array in voter-id order. Classes are fixed for
-    the whole run.
+    Returns two (R, N) boolean arrays in voter-id order. A row's 2N draws
+    are taken in one call into one buffer of the block, and the whole block
+    is compared at once with each row's probabilities. Classes are fixed
+    for the whole run. The params share ``num_voters``.
     """
-    n = params.num_voters
-    engaged = rng.uniform(n) < params.p_engaged
-    informed = rng.uniform(n) < params.p_informed
-    return np.column_stack((engaged, informed))
+    n = params[0].num_voters
+    draws = np.empty((len(rngs), 2 * n))
+    for rng, row in zip(rngs, draws):
+        rng.uniform(2 * n, row)
+    engaged = draws[:, :n] < np.array([p.p_engaged for p in params])[:, None]
+    informed = draws[:, n:] < np.array([p.p_informed for p in params])[:, None]
+    return engaged, informed
+
+
+def sample_roster(params: SimParams, rng: RngStream) -> np.ndarray:
+    """One run's roster, ``sample_rosters`` of one row, as an (N, 2) boolean array."""
+    engaged, informed = sample_rosters([params], [rng])
+    return np.column_stack((engaged[0], informed[0]))

@@ -122,6 +122,17 @@ class TestDeriveSeed:
         s = derive_seed(2**64 - 1, 10**6, 10**6)
         assert 0 <= s < 2**64
 
+    @pytest.mark.parametrize("base_seed", [0, 7, 2**63, 2**64 - 1])
+    def test_block_pass_equals_each_rows_seed(self, base_seed):
+        # Segments of one row and of many, a cell hashed twice, and cell
+        # indices that only the 64-bit mask keeps in range.
+        ranges = [(0, 0, 1), (3, 5, 70), (3, 70, 71), (2**64 + 9, 0, 4), (-1, 2, 5),
+                  (10**6, 2**40, 2**40 + 3)]
+        seeds = harness.derive_seeds(base_seed, ranges)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(base_seed, cell, rep)
+                                  for cell, start, stop in ranges for rep in range(start, stop)]
+
 
 class TestReplicate:
     def test_shape(self):

@@ -77,6 +77,38 @@ def test_reduceat_of_a_zero_led_segment_has_the_bits_of_add_reduce():
     assert np.add.reduceat(segments, starts).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("rows,classes,n", [(1, 4, 1), (1, 4, 30), (7, 4, 13), (5, 1, 40)])
+def test_segment_index_matches_a_3d_nonzero_build(rows, classes, n):
+    # Masks of mixed density, with empty and full classes, and one-row blocks.
+    gen = np.random.default_rng(rows * 100 + n)
+    masks = gen.random((rows, classes, n)) < gen.choice([0.0, 0.3, 0.9, 1.0], (rows, classes, 1))
+    sums = protocol._SegmentSums(masks)
+    r, _, cols = np.concatenate((np.ones((rows, classes, 1), bool), masks), axis=2).nonzero()
+    assert sums._index.tolist() == np.where(cols > 0, r * n + cols - 1, rows * n).tolist()
+    assert sums._starts.tolist() == np.flatnonzero(cols == 0).tolist()
+    balances = np.concatenate((spread_balances(gen, rows * n), [0.0]))
+    expected = [balances[:-1].reshape(rows, n)[i][masks[i, c]].sum()
+                for i in range(rows) for c in range(classes)]
+    assert sums.sums(balances)[0].tobytes() == np.array(expected).tobytes()
+
+
+def test_params_columns_are_each_rows_values():
+    # Two params objects, interleaved, and a third equal to the first: each
+    # row's columns hold its own params' values, read once per object.
+    a = SimParams(num_voters=6, inflation_rate=0.03, p_vote_engaged=0.7, p_correct_informed=0.8)
+    b = SimParams(num_voters=6, inflation_rate=0.1, initial_tokens=50.0, p_item_good=0.2,
+                  p_vote_disengaged=0.4, p_correct_uninformed=0.35, clamp_value=False)
+    params = [a, b, b, a, SimParams(**vars(a))]
+    rosters = np.random.default_rng(1).random((5, 6, 2)) < 0.5
+    state = init_registry(params, rosters)
+    for r, p in enumerate(params):
+        one = init_registry(p, rosters[r:r + 1])
+        for name in ("inflation_rate", "stake_factor", "growth", "clamp_value", "balances",
+                     "draw_cutoffs", "p_correct"):
+            assert getattr(state, name)[r].tobytes() == getattr(one, name)[0].tobytes(), (r, name)
+    assert state.params == tuple(params)
+
+
 class TestClassTokens:
     # Class sizes per row, in VoterClass order (IE, ID, UE, UD), of a
     # 400-voter block: empty, 1-7, 8-128 and above-128 classes, different

@@ -5,7 +5,7 @@ import pytest
 
 from tcrlab.params import SimParams
 from tcrlab.protocol import init_registry, run_round
-from tcrlab.voters import RngStream, sample_roster
+from tcrlab.voters import RngStream, sample_roster, sample_rosters
 
 
 def one_round(roster, seed=0, **kwargs):
@@ -37,7 +37,55 @@ class TestRngStream:
         assert RngStream(1).uniform(1) != RngStream(2).uniform(1)
 
 
+class TestBlockStreams:
+    # 0, the one-word extremes, the smallest two-word seed, 2^63 and the
+    # largest seed; then 1,200 random 64-bit seeds and 300 below 2^32, whose
+    # entropy is one 32-bit word where the others have two.
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    def seeds(self):
+        gen = np.random.default_rng(24)
+        return (self.EDGES + gen.integers(0, 2**64, 1200, dtype=np.uint64).tolist()
+                + gen.integers(0, 2**32, 300, dtype=np.uint64).tolist())
+
+    def test_each_stream_is_pcg64_of_its_seed(self):
+        seeds = self.seeds()
+        streams = RngStream.block(seeds)
+        assert [rng.seed for rng in streams] == seeds
+        assert all(type(rng.seed) is int for rng in streams)
+        for seed, rng in zip(seeds, streams):
+            assert rng._gen.bit_generator.state == np.random.PCG64(seed).state, seed
+        for seed, rng in zip(self.EDGES, streams):
+            assert rng.uniform(5).tobytes() == np.random.Generator(
+                np.random.PCG64(seed)).random(5).tobytes(), seed
+
+    def test_a_block_of_one_and_a_python_list(self):
+        assert (RngStream.block([2**40 + 3])[0].uniform(3).tobytes()
+                == RngStream(2**40 + 3).uniform(3).tobytes())
+
+
 class TestSampleRoster:
+    def test_block_rosters_are_each_rows_roster(self):
+        # Every row has its own probabilities, so a roster compared with
+        # another row's, or with the other probability, differs.
+        params = [SimParams(num_voters=60, p_engaged=e, p_informed=i)
+                  for e, i in ((0.1, 0.9), (0.5, 0.3), (0.9, 0.6), (0.3, 0.05))]
+        seeds = [3, 2**33 + 1, 17, 2**64 - 2]
+        engaged, informed = sample_rosters(params, RngStream.block(seeds))
+        assert engaged.shape == informed.shape == (4, 60)
+        streams = RngStream.block(seeds)
+        sample_rosters(params, streams)
+        for r, (p, seed, rng) in enumerate(zip(params, seeds, streams)):
+            fresh = RngStream(seed)
+            roster = sample_roster(p, fresh)
+            assert np.array_equal(roster, np.column_stack((engaged[r], informed[r]))), r
+            # Both streams sit 2N draws in.
+            assert rng.uniform(3).tobytes() == fresh.uniform(3).tobytes(), r
+            replay = RngStream(seed).uniform(2 * p.num_voters)
+            assert np.array_equal(engaged[r], replay[:60] < p.p_engaged), r
+            assert np.array_equal(informed[r], replay[60:] < p.p_informed), r
+
+
     def test_degenerate_all_informed_engaged(self):
         params = SimParams(num_voters=10, p_engaged=1.0, p_informed=1.0)
         roster = sample_roster(params, RngStream(0))
