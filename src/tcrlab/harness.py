@@ -181,11 +181,18 @@ def derive_seeds(base_seed: int, ranges: Sequence[tuple[int, int, int]]) -> np.n
                         ^ _mix64_array(reps))
 
 
-# Voter slots (replications x voters) per lockstep block; larger groups of
-# replications are split into more blocks, which bounds a block's memory.
-BLOCK_SLOTS = 2**18
+# Voter slots (replications x voters) per lockstep block: 256 KB of float64
+# balances. Larger groups of replications are cut into more blocks, which
+# keeps a block's working set in cache: at 100 voters a block holds at most
+# 327 replications, which read at least 3 rounds ahead. 2^14 slots cut a
+# 500-replication cell on two workers into blocks of 163, 163, 163 and 11
+# rows, and ran slower there than 2^15.
+BLOCK_SLOTS = 2**15
 # Voter slots (rounds x replications x voters) of the balances a block keeps
-# between checks and class-token sums: 512 KB of float64.
+# between checks and class-token sums: 512 KB of float64. A block within
+# BLOCK_SLOTS has room for at least two rounds; only a replication of more
+# than HISTORY_SLOTS / 2 voters, which runs as a block of its own, has room
+# for one.
 HISTORY_SLOTS = 2**16
 # Draws (replications x draws per replication) a block's read-ahead buffer
 # holds: 2 MB of float64. It bounds how many rounds a block draws ahead, at
@@ -197,9 +204,9 @@ HISTORY_SLOTS = 2**16
 READ_AHEAD_SLOTS = 2**18
 READ_AHEAD_ROWS = 16
 READ_AHEAD_VOTERS = 200
-# Voters of one replication. A block never splits a replication, so this
-# bound keeps every block within BLOCK_SLOTS.
-MAX_VOTERS = BLOCK_SLOTS
+# Voters of one replication. A block never splits a replication, so a
+# replication wider than BLOCK_SLOTS runs as a block of its own.
+MAX_VOTERS = 2**18
 # Rounds of one run: every round keeps a metrics row per replication.
 MAX_ROUNDS = 2**20
 # Replications x rounds of one cell, and of one block: each keeps a metrics
@@ -343,7 +350,10 @@ def _replicate_cells(
     policy kind) form a group, wherever they sit in the list. A group's
     replications are laid end to end in (cell, replication) order and cut
     into contiguous lockstep blocks, one per worker, or more when a block
-    would exceed BLOCK_SLOTS or MAX_ROW_ROUNDS; a block can span cells. With
+    would exceed BLOCK_SLOTS or MAX_ROW_ROUNDS; a block can span cells. The
+    slot bound keeps tall blocks cache-sized, so they read ahead (see
+    ``_advance``); a group cut by it runs as the same blocks at any job
+    count, and its blocks outnumber the workers, which take them in turn. With
     ``reduce``, a block reduces each cell it holds whole in the process that
     ran it, and returns rows only for the cells it shares with another
     block, which ``_by_cell`` joins and reduces. With more than one worker

@@ -50,8 +50,8 @@ class InvariantViolation(RuntimeError):
 class Round(NamedTuple):
     """What one round did in every replication of a block: (R,) and (R, N) arrays.
 
-    ``decision_add``, ``n_eligible`` and ``n_add`` are views of the round's
-    row in ``TcrState.history``.
+    ``stake``, ``decision_add``, ``n_eligible`` and ``n_add`` are views of
+    the round's row in ``TcrState.history``.
     """
 
     round_index: int
@@ -98,7 +98,7 @@ class TcrState:
     Balances, engagement and informedness are (R, N) arrays indexed by
     (replication row, voter id). Row r runs with ``params[r]``; the rows of
     a block share a ``block_key``, and everything else a cell may vary is
-    held here once, as an (R,) or (R, 1) column, read once from each
+    held here once, as an (R,) column, read once from each
     distinct params object and repeated over its rows. Classes never change
     during a run, so their sizes, an (R, 4) array in ``VoterClass`` order,
     and the gathers that sum each class's tokens are fixed here; the sums
@@ -132,7 +132,7 @@ class TcrState:
         # Derived values such as 1 + delta are computed in Python, once per
         # params object, so each column entry is the float a scalar parameter
         # would give.
-        (initial, growth, self.inflation_rate, self.stake_factor, item_good, vote_engaged,
+        (initial, self.growth, self.inflation_rate, self.stake_factor, item_good, vote_engaged,
          vote_disengaged, correct_informed, correct_uninformed) = np.array([
             (p.initial_tokens, 1.0 + p.inflation_rate, p.inflation_rate,
              p.stake_policy.sigma if self.sigma_stake else p.initial_stake / p.initial_tokens,
@@ -140,7 +140,6 @@ class TcrState:
              p.p_correct_informed, p.p_correct_uninformed)
             for p in distinct
         ], dtype=np.float64)[which].T
-        self.growth = growth[:, None]
         self.clamp_value = np.array([p.clamp_value for p in distinct])[which]
         rows, n = is_engaged.shape
         self._flat = np.zeros(rows * n + 1)
@@ -251,14 +250,16 @@ def init_registry(params: SimParams | Sequence[SimParams], rosters) -> TcrState:
     return TcrState(params, rosters[..., 0].copy(), rosters[..., 1].copy())
 
 
-def required_stake(state: TcrState, total: np.ndarray) -> np.ndarray:
-    """(R,) stake every participant must lock this round, given the (R,) token supply;
-    under the sigma stake, sigma times each row's mean UE balance (all voters' if none)."""
+def required_stake(state: TcrState, total: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """(R,) stake every participant must lock this round, given the (R,) token supply,
+    written to ``out`` if given; under the sigma stake, sigma times each row's
+    mean UE balance (all voters' if none)."""
     if state.sigma_stake:
         base = state._stake_base.sums(state._flat)[0] / state._stake_base.sizes
     else:
         base = total / state.num_voters
-    return state.stake_factor * base
+    return np.multiply(state.stake_factor, base, out=out)
 
 
 def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
@@ -270,8 +271,13 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     ``state.read_ahead`` is set, the round reads the same values from its
     buffer, every row at once, instead of calling the streams.
     Settlement and inflation write only the eligible voters' balances, at
-    the flat indices the vote draws are placed at. The round is recorded in
-    its row of ``state.history``, and its balances in the ring; when the
+    the flat indices the vote draws are placed at: each is gathered once,
+    settled and scattered back, and after the post-settlement and
+    participant-token sums over the full rows, inflated and scattered again.
+    Each row's values reach its entries, which are contiguous, by
+    ``np.repeat`` over the rows' eligible counts; in a one-row block they
+    broadcast. The round is recorded in its row of ``state.history`` (the
+    stake is written there directly), and its balances in the ring; when the
     ring fills, every round in it is checked (``check_rounds``). Callers run
     it under ``np.errstate(over="ignore", invalid="ignore")``: a row that
     overflows or turns NaN runs on until its ring is checked, which reports
@@ -282,8 +288,7 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     bal = state.balances
     n = state.num_voters
     pre_settle_total = np.add.reduce(bal, axis=1, out=h.pre_settle[s])
-    stake = required_stake(state, pre_settle_total)
-    h.stake[s] = stake
+    stake = required_stake(state, pre_settle_total, out=h.stake[s])
     reader = state.read_ahead
     if reader is None:
         for rng, draws in zip(rngs, state._draw_rows):
@@ -323,15 +328,21 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     # payout - stake and losers lose the stake: n_win >= 1 whenever the sides
     # differ, so for a finite stake both are finite. A tie's voters gain 0.0
     # or -0.0, which keeps their bits (balances are never -0.0). Then each
-    # voter is inflated at its row's rate.
-    row = idx // n
-    won = add.ravel()[idx] == decision_add[row]
-    gain, cut = (payout - stake)[row], np.where(moved, stake, 0.0)[row]
+    # voter is inflated at its row's rate. The indices are row-major, so a
+    # row's entries are contiguous and its values reach them by np.repeat;
+    # a one-row block's (1,) values broadcast as they are.
+    per_row = (decision_add, payout - stake, np.where(moved, -stake, -0.0), state.growth)
+    if len(bal) > 1:
+        per_row = [np.repeat(values, n_eligible) for values in per_row]
+    decided, gain, loss, growth = per_row
     flat = bal.ravel()
-    flat[idx] += np.where(won, gain, -cut)
+    settled = flat[idx]
+    settled += np.where(add.ravel()[idx] == decided, gain, loss)
+    flat[idx] = settled
     np.add.reduce(bal, axis=1, out=h.post_settle[s])
     np.add.reduce(bal * eligible, axis=1, out=h.participant_tokens[s])
-    flat[idx] *= state.growth.ravel()[row]
+    settled *= growth
+    flat[idx] = settled
     np.add.reduce(bal, axis=1, out=h.total[s])
     h.balances[s - h.checked] = bal
     state.round_index += 1

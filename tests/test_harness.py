@@ -331,17 +331,19 @@ class TestSharedPool:
 
         def later_cells_wait(task):
             if task[1][0][1] > 0:
-                release.wait(timeout=60)
+                release.wait(timeout=5)
             return block_task(task)
 
-        monkeypatch.setattr(harness, "_start_pool", OneThreadPool)
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(harness, "_block_task", later_cells_wait)
-        monkeypatch.setattr(harness, "BLOCK_SLOTS", 2)  # one block per cell
         # The first cell's statistics overflow, so the sweep stops after it.
         spec = SweepSpec(grid=(("initial_tokens", (1e307, 100.0, 100.0, 100.0)),),
                          replications=2, base_seed=1,
                          base_params=SimParams(num_voters=1, num_items=1, initial_stake=1.0))
+        first = replicate(replace(spec.base_params, initial_tokens=1e307), 2, 1)
+        assert any(np.isinf(stat).any() for stat in aggregate_metrics(first)[0].values())
+        monkeypatch.setattr(harness, "_start_pool", OneThreadPool)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_block_task", later_cells_wait)
+        monkeypatch.setattr(harness, "BLOCK_SLOTS", 2)  # one block per cell
         try:
             # The held exception keeps the sweep's frames, and so its blocks, alive.
             with pytest.raises(ConfigurationError, match="overflow the float range") as exc:

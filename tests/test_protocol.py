@@ -158,7 +158,7 @@ def test_run_round_by_hand_past_several_rings(monkeypatch):
         check_rounds(state, rngs)
 
     monkeypatch.setattr(protocol, "check_rounds", record)
-    views = ("decision_add", "n_eligible", "n_add")
+    views = ("decision_add", "n_eligible", "n_add", "stake")
     returned, values, balances = [], [], []
     for _ in range(7):
         rnd = run_round(state, rngs)
@@ -182,6 +182,64 @@ def test_run_round_by_hand_past_several_rings(monkeypatch):
         for name, value in zip(views, values[k]):
             assert np.array_equal(getattr(rnd, name), value), (k, name)
             assert np.array_equal(getattr(h, name)[k], value), (k, name)
+
+
+def settle_by_masks(before, rnd, r, growth):
+    """Row r's balances after settlement and after inflation, by boolean masks."""
+    settled, e = before.copy(), rnd.eligible[r]
+    if 2 * rnd.n_add[r] != rnd.n_eligible[r]:
+        won = e & (rnd.add[r] == rnd.decision_add[r])
+        settled[won] += rnd.payout[r] - rnd.stake[r]
+        settled[e & ~won] -= rnd.stake[r]
+    inflated = settled.copy()
+    inflated[e] *= growth
+    return settled, inflated
+
+
+def test_settlement_of_each_row_has_the_bits_of_the_row_run_alone():
+    # Rows of five cells with their own inflation rates: row 1's engaged
+    # voters intend but are priced out, row 2 ties every round, and every
+    # voter of row 3 is eligible in round 0.
+    n, rounds, deltas = 12, 4, (0.05, 0.5, 0.2, 0.0, 0.3)
+    engaged_only = dict(p_vote_engaged=1.0, p_vote_disengaged=0.0)
+    params = [SimParams(num_voters=n, num_items=rounds, inflation_rate=d, **kw)
+              for d, kw in zip(deltas, ({}, engaged_only, SURE, engaged_only, {}))]
+    rosters = [sample_roster(params[0], RngStream(1)), [(r < 6, True) for r in range(n)],
+               [ADD, ADD, REJ, REJ] + [OUT] * (n - 4), [(True, r % 3 > 0) for r in range(n)],
+               sample_roster(params[4], RngStream(2))]
+    start = np.random.default_rng(3).uniform(50.0, 150.0, (5, n))
+    start[1] = np.where(np.arange(n) < 6, 0.5, 1000.0)
+    start[3] = 100.0
+    seeds = [10, 11, 12, 13, 14]
+    block = init_registry(params, rosters)
+    block.balances[:] = start
+    alone = [init_registry(p, [roster]) for p, roster in zip(params, rosters)]
+    for r, state in enumerate(alone):
+        state.balances[:] = start[r]
+    block_rngs, alone_rngs = [RngStream(s) for s in seeds], [RngStream(s) for s in seeds]
+    columns = ("stake", "pre_settle", "post_settle", "participant_tokens", "total",
+               "item_good", "decision_add", "n_intends", "n_eligible", "n_add")
+    for k in range(rounds):
+        before = block.balances.copy()
+        rnd = run_round(block, block_rngs)
+        if k == 0:
+            assert rnd.intends[1].sum() == 6 and rnd.n_eligible[1] == 0
+            assert rnd.n_eligible[2] == 4 and rnd.n_add[2] == 2
+            assert rnd.eligible[3].all() and rnd.n_add[3] not in (0, n)
+        assert 0 < rnd.n_eligible[0] and 0 < rnd.n_eligible[4]
+        for r, state in enumerate(alone):
+            one = run_round(state, [alone_rngs[r]])
+            settled, inflated = settle_by_masks(before[r], rnd, r, 1.0 + deltas[r])
+            assert block.balances[r].tobytes() == inflated.tobytes(), (k, r)
+            assert state.balances[0].tobytes() == inflated.tobytes(), (k, r)
+            assert one.eligible[0].tolist() == rnd.eligible[r].tolist(), (k, r)
+            for h, i in ((block.history, r), (state.history, 0)):
+                assert h.post_settle[k, i] == np.add.reduce(settled), (k, r)
+                assert h.participant_tokens[k, i] == np.add.reduce(settled * rnd.eligible[r])
+                assert h.total[k, i] == np.add.reduce(inflated), (k, r)
+            for name in columns:
+                got = getattr(block.history, name)[k, r]
+                assert got.tobytes() == getattr(state.history, name)[k, 0].tobytes(), (k, r, name)
 
 
 class TestRequiredStake:
