@@ -50,8 +50,8 @@ class InvariantViolation(RuntimeError):
 class Round(NamedTuple):
     """What one round did in every replication of a block: (R,) and (R, N) arrays.
 
-    ``stake``, ``decision_add``, ``n_eligible`` and ``n_add`` are views of
-    the round's row in ``TcrState.history``.
+    ``decision_add``, ``n_eligible`` and ``n_add`` are views of the round's
+    row in ``TcrState.history``.
     """
 
     round_index: int
@@ -250,16 +250,14 @@ def init_registry(params: SimParams | Sequence[SimParams], rosters) -> TcrState:
     return TcrState(params, rosters[..., 0].copy(), rosters[..., 1].copy())
 
 
-def required_stake(state: TcrState, total: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """(R,) stake every participant must lock this round, given the (R,) token supply,
-    written to ``out`` if given; under the sigma stake, sigma times each row's
-    mean UE balance (all voters' if none)."""
+def required_stake(state: TcrState, total: np.ndarray) -> np.ndarray:
+    """(R,) stake every participant must lock this round, given the (R,) token supply;
+    under the sigma stake, sigma times each row's mean UE balance (all voters' if none)."""
     if state.sigma_stake:
         base = state._stake_base.sums(state._flat)[0] / state._stake_base.sizes
     else:
         base = total / state.num_voters
-    return np.multiply(state.stake_factor, base, out=out)
+    return state.stake_factor * base
 
 
 def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
@@ -276,19 +274,20 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     participant-token sums over the full rows, inflated and scattered again.
     Each row's values reach its entries, which are contiguous, by
     ``np.repeat`` over the rows' eligible counts; in a one-row block they
-    broadcast. The round is recorded in its row of ``state.history`` (the
-    stake is written there directly), and its balances in the ring; when the
-    ring fills, every round in it is checked (``check_rounds``). Callers run
-    it under ``np.errstate(over="ignore", invalid="ignore")``: a row that
-    overflows or turns NaN runs on until its ring is checked, which reports
-    the first failing round once.
+    broadcast. The round is recorded in its row of ``state.history``, and
+    its balances in the ring; when the ring fills, every round in it is
+    checked (``check_rounds``). Callers run it under
+    ``np.errstate(over="ignore", invalid="ignore")``: a row that overflows
+    or turns NaN runs on until its ring is checked, which reports the first
+    failing round once.
     """
     h = state.history
     s = state.round_index
     bal = state.balances
     n = state.num_voters
     pre_settle_total = np.add.reduce(bal, axis=1, out=h.pre_settle[s])
-    stake = required_stake(state, pre_settle_total, out=h.stake[s])
+    stake = required_stake(state, pre_settle_total)
+    h.stake[s] = stake
     reader = state.read_ahead
     if reader is None:
         for rng, draws in zip(rngs, state._draw_rows):

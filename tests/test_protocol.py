@@ -158,7 +158,7 @@ def test_run_round_by_hand_past_several_rings(monkeypatch):
         check_rounds(state, rngs)
 
     monkeypatch.setattr(protocol, "check_rounds", record)
-    views = ("decision_add", "n_eligible", "n_add", "stake")
+    views = ("decision_add", "n_eligible", "n_add")
     returned, values, balances = [], [], []
     for _ in range(7):
         rnd = run_round(state, rngs)
