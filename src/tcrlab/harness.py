@@ -143,15 +143,8 @@ _MASK64 = (1 << 64) - 1
 _MIX_ADD, _MIX_MUL_1, _MIX_MUL_2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
-def _mix64(x: int) -> int:
-    x = (x + _MIX_ADD) & _MASK64
-    x = ((x ^ (x >> 30)) * _MIX_MUL_1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX_MUL_2) & _MASK64
-    return x ^ (x >> 31)
-
-
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """``_mix64`` of each entry of a uint64 array, whose arithmetic wraps as the masks do."""
+    """SplitMix64's finaliser of each entry of a uint64 array, whose arithmetic wraps mod 2^64."""
     x = x + np.uint64(_MIX_ADD)
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX_MUL_1)
@@ -161,21 +154,20 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cell_hash(base_seed: int, cell_index: int) -> int:
-    return _mix64((base_seed & _MASK64) ^ _mix64(cell_index & _MASK64))
-
-
 def derive_seed(base_seed: int, cell_index: int, rep_index: int) -> int:
-    """Fixed 64-bit mixing of (base seed, grid cell, replication)."""
-    return _mix64(_cell_hash(base_seed, cell_index) ^ _mix64(rep_index & _MASK64))
+    """Fixed 64-bit mixing of (base seed, grid cell, replication): the one
+    entry of ``derive_seeds`` over replication ``rep_index`` of the cell."""
+    rep = rep_index & _MASK64
+    return int(derive_seeds(base_seed, [(cell_index, rep, rep + 1)])[0])
 
 
 def derive_seeds(base_seed: int, ranges: Sequence[tuple[int, int, int]]) -> np.ndarray:
-    """``derive_seed`` of replications start..stop-1 of each (cell_index,
-    start, stop), in order, as one uint64 array: each cell is hashed once and
-    every replication is mixed in one array pass."""
-    cells = np.array([_cell_hash(base_seed, cell_index) for cell_index, _, _ in ranges],
-                     dtype=np.uint64)
+    """The seeds of replications start..stop-1 of each (cell_index, start,
+    stop), in order, as one uint64 array: mix(mix(base_seed ^ mix(cell_index))
+    ^ mix(rep)), with mix ``_mix64_array`` and every value taken mod 2^64.
+    Each cell is hashed once and every replication mixed in one array pass."""
+    cells = np.array([cell_index & _MASK64 for cell_index, _, _ in ranges], dtype=np.uint64)
+    cells = _mix64_array(np.uint64(base_seed & _MASK64) ^ _mix64_array(cells))
     reps = np.concatenate([np.arange(start, stop, dtype=np.uint64) for _, start, stop in ranges])
     return _mix64_array(np.repeat(cells, [stop - start for _, start, stop in ranges])
                         ^ _mix64_array(reps))
@@ -487,15 +479,15 @@ class CellAggregate:
     number of non-absent samples per (round, metric). `csv_rows` and
     `json_rounds` are the cell's aggregate text without its params, as
     ``serialize.aggregate_csv_rows`` and ``serialize.aggregate_json_rounds``
-    render it; ``run_sweep`` renders it in the process that reduced the cell.
-    A cell built without it is rendered by each writer, in its own format.
+    render it; ``run_sweep`` renders it in the process that reduced the cell,
+    and the writers only add the params.
     """
 
     params: dict
     stats: dict[str, np.ndarray]
     counts: np.ndarray
-    csv_rows: str | None = field(default=None, repr=False)
-    json_rounds: str | None = field(default=None, repr=False)
+    csv_rows: str = field(repr=False)
+    json_rounds: str = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -511,39 +503,30 @@ def aggregate_metrics(samples: np.ndarray) -> tuple[dict[str, np.ndarray], np.nd
     """Per-(round, metric) stats over the replication axis, skipping NaNs.
 
     ``mean``, ``std`` (ddof 0), ``min`` and ``max`` are ``np.nanmean``,
-    ``np.nanstd``, ``np.nanmin`` and ``np.nanmax`` along axis 0. In columns
-    with no NaN sample, ``np.mean`` and ``np.std`` stand in for the first two:
-    they run the same sums, squares and divisions without the NaN mask, so
-    they give the same bits. The other columns are gathered into a C-ordered
-    block of at least two, which numpy reduces row by row as it does the
-    whole array (one column alone would be summed pairwise), and go through
-    the nan-functions' own arithmetic: NaNs set to 0, sum / count, the
-    deviations with NaNs set to 0 again, sum of squares / count, its square
-    root, and NaN where the count is 0. That skips the nan-functions'
-    per-call overhead, which outweighs their arithmetic on a few dozen
-    columns. ``min`` and ``max`` keep the nan-functions, because
+    ``np.nanstd``, ``np.nanmin`` and ``np.nanmax`` along axis 0. The first two
+    run the nan-functions' own arithmetic once over every column, without
+    their per-call overhead: NaNs set to 0, sum / count, the deviations with
+    NaNs set to 0 again, sum of squares / count, its square root, and NaN
+    where the count is 0. ``min`` and ``max`` keep the nan-functions, because
     ``np.minimum`` and ``np.fmin`` can pick different zeros of -0.0 and 0.0.
     p5 and p95 come from ``_nan_percentiles``. ``TestAggregateMetrics`` in
     ``tests/test_harness.py`` pins the bytes of every stat.
     """
-    with np.errstate(invalid="ignore"):
-        counts = np.sum(~np.isnan(samples), axis=0)
-        partial = np.flatnonzero(counts != len(samples))
+    # A sum or a square past the float range is inf, which run_sweep rejects.
+    with np.errstate(invalid="ignore", over="ignore"):
+        absent = np.isnan(samples)
+        counts = np.sum(~absent, axis=0)
+        present = np.where(absent, 0.0, samples)
+        mean = np.sum(present, axis=0) / counts
+        present -= mean
+        present[absent] = 0.0
+        present *= present
+        std = np.sqrt(np.sum(present, axis=0) / counts)
+        std[counts == 0] = np.nan
+        stats = {"mean": mean, "std": std}
         with warnings.catch_warnings():
             # all-NaN slices (an empty class in every replication) stay NaN
             warnings.simplefilter("ignore", category=RuntimeWarning)
-            stats = {"mean": np.mean(samples, axis=0), "std": np.std(samples, axis=0)}
-            if len(partial):
-                cols = np.resize(partial, max(2, len(partial)))
-                some = samples.reshape(len(samples), -1).take(cols, axis=1)
-                absent, n = np.isnan(some), counts.reshape(-1)[cols]
-                some[absent] = 0.0
-                mean = np.sum(some, axis=0) / n
-                some -= mean
-                some[absent] = 0.0
-                std = np.sqrt(np.sum(some * some, axis=0) / n)
-                std[n == 0] = np.nan
-                stats["mean"].reshape(-1)[cols], stats["std"].reshape(-1)[cols] = mean, std
             stats["min"] = np.nanmin(samples, axis=0)
             stats["max"] = np.nanmax(samples, axis=0)
         # inf - inf in a column's interpolation is NaN, as in np.nanpercentile

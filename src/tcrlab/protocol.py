@@ -101,8 +101,9 @@ class TcrState:
     held here once, as an (R,) column, read once from each
     distinct params object and repeated over its rows. Classes never change
     during a run, so their sizes, an (R, 4) array in ``VoterClass`` order,
-    and the gathers that sum each class's tokens are fixed here; the sums
-    read the 0.0 that follows the balances in ``_flat``.
+    and the gathers that sum each class's tokens over the history's ring are
+    fixed here; the sigma stake's base sums read the 0.0 that follows the
+    balances in ``_flat``.
 
     Each round is recorded in ``history``, which has a row for each of the
     run's ``num_items`` rounds; its checks run, and its class tokens are
@@ -169,12 +170,10 @@ class TcrState:
         self._votes = np.empty(rows * n)
         self._vote_grid = np.zeros((rows, n))
 
-    def class_tokens(self, rounds: int | None = None) -> np.ndarray:
-        """(R, 4) tokens held by each class now, in ``VoterClass`` order, or
-        (rounds, R, 4) after each of the first ``rounds`` ring slots of ``history``;
-        each entry has the bits of ``balances[r][class_mask].sum()``."""
-        if rounds is None:
-            return self._classes.sums(self._flat).reshape(self.class_sizes.shape)
+    def class_tokens(self, rounds: int) -> np.ndarray:
+        """(rounds, R, 4) tokens held by each class, in ``VoterClass`` order,
+        after each of the first ``rounds`` ring slots of ``history``; each
+        entry has the bits of ``balances[r][class_mask].sum()`` of its slot."""
         return self._classes.sums(self.history.padded, rounds).reshape(
             rounds, *self.class_sizes.shape)
 

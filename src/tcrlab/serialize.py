@@ -12,7 +12,7 @@ cell's, stacked float table and blank its ``nan`` fields;
 ``aggregate_json_rounds`` fills a cell's rounds template with ``repr``s. A
 sweep renders each cell's text with these two in the process that reduced the
 cell (``harness.run_sweep``), so the aggregate writers only add each cell's
-params and write; they render a cell built without its text themselves.
+params and write.
 """
 
 from __future__ import annotations
@@ -205,10 +205,7 @@ def write_aggregate_csv(path: Path, agg: AggregateStats) -> None:
             # Two empty fields stop csv quoting a lone empty one; [:-2] leaves a comma.
             prefix = _csv_line([_param_str(cell.params.get(name)) for name in param_names]
                                + ["", ""])[:-2]
-            rows = cell.csv_rows
-            if rows is None:
-                rows = aggregate_csv_rows(cell.stats, cell.counts)
-            fh.write(rows.replace("\n", "\n" + prefix))
+            fh.write(cell.csv_rows.replace("\n", "\n" + prefix))
         fh.write("\n")
 
 
@@ -218,12 +215,9 @@ def write_aggregate_json(path: Path, agg: AggregateStats) -> None:
     with open(path, "w", newline="") as fh:
         fh.write('{\n  "cells": [')
         for c, cell in enumerate(agg.cells):
-            rounds = cell.json_rounds
-            if rounds is None:
-                rounds = aggregate_json_rounds(cell.stats, cell.counts)
             params = json.dumps(_jsonable(cell.params), indent=2, sort_keys=True)
             fh.write('%s    {\n      "params": %s,\n      "rounds": %s\n    }' % (
-                ",\n" if c else "\n", params.replace("\n", "\n" + " " * 6), rounds))
+                ",\n" if c else "\n", params.replace("\n", "\n" + " " * 6), cell.json_rounds))
         fh.write(("\n  ]," if agg.cells else "],") + tail[1:] + "\n")
 
 

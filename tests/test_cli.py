@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tcrlab
+from tcrlab import harness
 from tcrlab.cli import main
 from tcrlab.harness import (
     MAX_ROUNDS,
@@ -308,6 +309,35 @@ class TestSweep:
         assert main(["sweep", spec, "--jobs", "8", "--out", str(out8)]) == 0
         assert (out1 / "aggregate.csv").read_bytes() == (out8 / "aggregate.csv").read_bytes()
         assert (out1 / "aggregate.json").read_bytes() == (out8 / "aggregate.json").read_bytes()
+
+    # The cell-spanning sweeps of CI's cross-job step. mixed: both stake
+    # policies, clamping and inflation in one grid. tall: one 24-row block
+    # reads its streams ahead at --jobs 1, two 12-row blocks call them round
+    # by round at --jobs 2. span3: at --jobs 2 cells 0 and 2 are reduced whole
+    # in their blocks and cell 1 spans both; cell 2's informed classes are
+    # empty. ring: 4-round history rings at --jobs 1, 8-round ones at --jobs 2.
+    CROSS_JOB = {
+        "mixed": {"grid": {"stake_policy": [{"kind": "protocol"},
+                                            {"kind": "analysis_sigma", "sigma": 0.1}],
+                           "clamp_value": [True, False], "inflation_rate": [0.0, 0.05]},
+                  "replications": 9, "base_seed": 3, "sim_params": {"num_items": 20}},
+        "tall": {"grid": {"p_informed": [0.5]}, "replications": 24, "base_seed": 5,
+                 "sim_params": {"num_items": 20}},
+        "span3": {"grid": {"p_informed": [0.5, 0.9, 0.0]}, "replications": 6, "base_seed": 4,
+                  "sim_params": {"num_items": 20}},
+        "ring": {"grid": {"p_informed": [0.5]}, "replications": 300, "base_seed": 6,
+                 "sim_params": {"num_items": 22, "num_voters": 50}},
+    }
+
+    @pytest.mark.parametrize("name", CROSS_JOB)
+    def test_cross_job_sweeps_write_the_same_bytes(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        spec = write_json(tmp_path / "spec.json", self.CROSS_JOB[name])
+        out1, out2 = tmp_path / "j1", tmp_path / "j2"
+        assert main(["sweep", spec, "--jobs", "1", "--out", str(out1)]) == 0
+        assert main(["sweep", spec, "--jobs", "2", "--out", str(out2)]) == 0
+        for file in ("aggregate.csv", "aggregate.json"):
+            assert (out1 / file).read_bytes() == (out2 / file).read_bytes(), file
 
     def test_empty_grid_exits_2(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", {"grid": {}, "replications": 1})

@@ -18,8 +18,10 @@ def snapshot(state, v_correct=None):
     if v_correct is None:
         h, k = state.history, state.round_index
         v_correct = (h.decision_add[:k] == h.item_good[:k]).sum(axis=0)
+    tokens = np.array([[balances[mask].sum() for mask in masks]
+                       for balances, masks in zip(state.balances, state._class_masks)])
     return metric_rows(state.clamp_value, state.class_sizes, v_correct,
-                       state.round_index, state.balances.sum(axis=1), state.class_tokens())
+                       state.round_index, state.balances.sum(axis=1), tokens)
 
 
 def named(rows):

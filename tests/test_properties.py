@@ -130,7 +130,8 @@ def test_roster_classes_partition_voters(n, p_e, p_i, seed):
     params = SimParams(num_voters=n, p_engaged=p_e, p_informed=p_i)
     roster = sample_roster(params, RngStream(seed))
     state = init_registry(params, [roster])
-    tokens = state.class_tokens()[0]
+    state.history.balances[0] = state.balances
+    tokens = state.class_tokens(1)[0, 0]
     assert state.class_sizes.sum() == n
     assert tokens.sum() == state.balances.sum(axis=1)[0]
     # (is_engaged, is_informed) of each class, in VoterClass order: IE, ID, UE, UD.

@@ -28,6 +28,8 @@ from tcrlab.metrics import METRIC_NAMES
 from tcrlab.params import AnalysisSigmaStake, ProtocolStake, SimParams
 from tcrlab.serialize import (
     TRACE_COLUMNS,
+    aggregate_csv_rows,
+    aggregate_json_rounds,
     fmt,
     stake_policy_to_dict,
     write_aggregate_csv,
@@ -120,14 +122,20 @@ def aggregates(draw):
             st.sampled_from(["clamp_value", "num_voters", "p_informed", "label", "stake_policy"]),
             param_values, max_size=3))
         stats = {s: rng.choice(np.array(pool), shape) for s in STAT_NAMES}
-        cells.append(CellAggregate(params, stats, rng.integers(0, 10**6, shape)))
+        cells.append(rendered_cell(params, stats, rng.integers(0, 10**6, shape)))
     return AggregateStats(replications=draw(st.integers(1, 10**6)), cells=tuple(cells))
+
+
+def rendered_cell(params, stats, counts):
+    """A cell with its aggregate text, as ``run_sweep`` renders it."""
+    return CellAggregate(params, stats, counts, aggregate_csv_rows(stats, counts),
+                         aggregate_json_rounds(stats, counts))
 
 
 def one_cell(stat, params=None):
     """An aggregate of one cell whose every stat column is ``stat``."""
     counts = np.arange(stat.size).reshape(stat.shape)
-    return AggregateStats(3, (CellAggregate(params or {"p_informed": 0.5},
+    return AggregateStats(3, (rendered_cell(params or {"p_informed": 0.5},
                                             dict.fromkeys(STAT_NAMES, stat), counts),))
 
 
