@@ -39,7 +39,7 @@ from .protocol import (
     init_registry,
     run_round,
 )
-from .voters import ReadAhead, RngStream, sample_roster, sample_rosters
+from .voters import ReadAhead, RngStream, sample_rosters
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -59,7 +59,9 @@ class RunConfig:
 class Trace(NamedTuple):
     """One run: its (rounds, metrics) rows, in METRIC_NAMES order; its
     per-round columns, (rounds,) arrays keyed by ``ROUND_COLUMNS``; and its
-    class sizes, in ``VoterClass`` order."""
+    class sizes, in ``VoterClass`` order. A block of R runs has the same
+    record with a leading row axis: (R, rounds, metrics) rows, (R, rounds)
+    columns and (R, 4) class sizes."""
 
     rows: np.ndarray
     rounds: dict[str, np.ndarray]
@@ -75,35 +77,34 @@ ROUND_COLUMNS = ("v_correct", "total", "stake", "item_good", "decision_add", "n_
 def run_simulation(config: RunConfig) -> Trace:
     """Execute all rounds of one run; returns its ``Trace``.
 
-    This is the lockstep kernel with one replication, whose roster is
-    sampled from the run's stream first.
+    This is row 0 of a one-row ``run_block``, so it is set up exactly as a
+    replication of a sweep is.
     """
     params = config.sim_params
     _check_size(params)
-    rng = RngStream(config.base_seed)
-    state = init_registry(params, [sample_roster(params, rng)])
-    rows, columns = _advance(state, [rng])
-    return Trace(rows[0], {name: column[0] for name, column in columns.items()},
-                 state.class_sizes[0])
+    block = run_block([params], [config.base_seed])
+    return Trace(block.rows[0], {name: column[0] for name, column in block.rounds.items()},
+                 block.class_sizes[0])
 
 
-def run_block(params: Sequence[SimParams], seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+def run_block(params: Sequence[SimParams], seeds: Sequence[int] | np.ndarray) -> Trace:
     """Replications in lockstep, row r with ``params[r]`` and a stream seeded
-    ``seeds[r]``; (len(seeds), rounds, metrics) array.
+    ``seeds[r]``; the block's ``Trace``, with a leading row axis.
 
-    The params must share a ``block_key``. The block's streams come from one
-    hash of all its seeds (``RngStream.block``) and its rosters from one
-    ``sample_rosters`` call, so each replication's stream and roster, and
-    its rows, are those ``run_simulation`` gives for its params and seed.
+    The params must share a ``block_key``. Every run is set up the same way:
+    its stream from ``RngStream.block`` (one hash of all the block's seeds),
+    its roster drawn from that stream first by ``sample_rosters``, and its
+    state from ``init_registry``. So each replication's stream, roster and
+    record are those of a one-row block, which is ``run_simulation``.
     """
     rngs = RngStream.block(seeds)
-    state = TcrState(params, *sample_rosters(params, rngs))
-    return _advance(state, rngs)[0]
+    return _advance(init_registry(params, sample_rosters(params, rngs)), rngs)
 
 
-def _advance(state: TcrState, rngs: list[RngStream]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Run every round of a block; returns its (R, rounds, metrics) rows and
-    its (R, rounds) columns of each of ``ROUND_COLUMNS``, views of its history.
+def _advance(state: TcrState, rngs: list[RngStream]) -> Trace:
+    """Run every round of a block; returns its ``Trace``: the (R, rounds,
+    metrics) rows, the (R, rounds) columns of each of ``ROUND_COLUMNS``, views
+    of its history, and the (R, 4) class sizes.
 
     The state's history records the whole run. Its ring holds the balances
     of as many rounds as fit in HISTORY_SLOTS voter slots (at least one):
@@ -136,7 +137,7 @@ def _advance(state: TcrState, rngs: list[RngStream]) -> tuple[np.ndarray, dict[s
     rows = metric_rows(state.clamp_value[:, None], state.class_sizes[:, None],
                        columns["v_correct"], np.arange(1, rounds + 1), columns["total"],
                        h.tokens.swapaxes(0, 1))
-    return rows, columns
+    return Trace(rows, columns, state.class_sizes)
 
 
 _MASK64 = (1 << 64) - 1
@@ -237,15 +238,16 @@ def _block_task(task: tuple[int, tuple[Segment, ...], int | None]) -> list:
     rendered here by ``_reduce_cell`` on the block's contiguous slice of its
     rows, so its part is the cell's ``(stats, counts, csv_rows,
     json_rounds)``. Every other segment's part is its (rows, rounds,
-    metrics) rows; with ``cell_size`` None every part is. The block's seeds
-    are derived in one pass (``derive_seeds``). An ``InvariantViolation`` is
+    metrics) rows; with ``cell_size`` None every part is. The block's round
+    columns and class sizes are dropped here. Its seeds are derived in one
+    pass (``derive_seeds``). An ``InvariantViolation`` is
     raised again with its cell and replication.
     """
     base_seed, segments, cell_size = task
     params = [p for _, _, p, start, stop in segments for _ in range(start, stop)]
     ranges = [(cell_index, start, stop) for _, cell_index, _, start, stop in segments]
     try:
-        block = run_block(params, derive_seeds(base_seed, ranges))
+        block = run_block(params, derive_seeds(base_seed, ranges)).rows
     except InvariantViolation as exc:
         rows = [(cell_index, rep) for cell_index, start, stop in ranges
                 for rep in range(start, stop)]
@@ -670,13 +672,9 @@ def validate_against_analysis(a: AnalysisParams, k_max: int) -> ValidationReport
             f"the closed form overflows the float range by round {k_max}: {overflow}"
         )
     # (is_engaged, is_informed), grouped by class: IE, UE, ID, UD.
-    roster = (
-        [(True, True)] * a.n_ie
-        + [(True, False)] * a.n_ue
-        + [(False, True)] * a.n_id
-        + [(False, False)] * a.n_ud
-    )
-    rows, _ = _advance(init_registry(params, [roster]), [RngStream(0)])
+    roster = np.repeat([(True, True), (True, False), (False, True), (False, False)],
+                       [a.n_ie, a.n_ue, a.n_id, a.n_ud], axis=0)
+    rows = _advance(init_registry(params, roster[None]), [RngStream(0)]).rows
     column = dict(zip(METRIC_NAMES, rows[0].T))
     rounds = range(1, k_max + 1)
     wrong = np.flatnonzero(column["lurp_raw"] != rounds)

@@ -233,9 +233,10 @@ class _SegmentSums:
 def init_registry(params: SimParams | Sequence[SimParams], rosters) -> TcrState:
     """A fresh block, one replication per roster; every voter starts at the initial balance.
 
-    ``rosters`` is (R, N, 2) booleans: (is_engaged, is_informed) per voter.
-    ``params`` is one ``SimParams`` for every row, or one per row, all with
-    the same ``block_key``.
+    ``rosters`` is (R, N, 2) booleans: (is_engaged, is_informed) per voter,
+    as ``voters.sample_rosters`` returns them. ``params`` is one
+    ``SimParams`` for every row, or one per row, all with the same
+    ``block_key``. The state keeps no reference to the rosters.
     """
     rosters = np.asarray(rosters, dtype=bool)
     if isinstance(params, SimParams):
@@ -246,7 +247,7 @@ def init_registry(params: SimParams | Sequence[SimParams], rosters) -> TcrState:
             f"rosters have shape {rosters.shape}, params expect "
             f"({len(params)}, {params[0].num_voters}, 2)"
         )
-    return TcrState(params, rosters[..., 0].copy(), rosters[..., 1].copy())
+    return TcrState(params, rosters[..., 0], rosters[..., 1])
 
 
 def required_stake(state: TcrState, total: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Seeded randomness and the four-class stochastic voter model.
 
 Draw order contract (what makes traces replayable): a run owns a single
-stream, ``PCG64(seed)``, however it is built (a block builds its streams
-from one array pass of ``SeedSequence``'s hash over all its seeds; the bit
-generator's state is the same). The roster is sampled first (one block of
-uniforms for engagement, then one for informedness, voter-id order; the two
-blocks may be drawn as one vector of 2N). Then, per round:
+stream, ``PCG64(seed)``, however it is built (a block of several runs builds
+its streams from one array pass of ``SeedSequence``'s hash over all its
+seeds; the bit generator's state is the same). The roster is sampled first
+(one block of uniforms for engagement, then one for informedness, voter-id
+order; the two blocks may be drawn as one vector of 2N). Then, per round:
 one draw for the item's polarity, one participation draw per voter in
 voter-id order, and finally one vote draw per *eligible* participant in
 voter-id order. The item and participation draws are taken as one vector
@@ -48,11 +48,14 @@ class RngStream:
         """One stream per seed, in order, each ``PCG64(seed)``, from one hash
         of all the seeds (``seedseq.seed_words``). The hash has a fixed cost of
         a few ``PCG64(seed)`` calls, after which each stream costs a fraction
-        of one. ``seedseq`` loads ``numpy.random``, as a stream does, so it is
-        imported here: importing tcrlab loads neither."""
+        of one, so a single seed is left to ``PCG64`` to hash. ``seedseq``
+        loads ``numpy.random``, as a stream does, so it is imported here:
+        importing tcrlab loads neither."""
+        seeds = np.asarray(seeds, dtype=np.uint64)
+        if seeds.size == 1:
+            return [cls(int(seeds[0]))]
         from .seedseq import SeedWords, seed_words
 
-        seeds = np.asarray(seeds, dtype=np.uint64)
         return [cls(seed, SeedWords(words))
                 for seed, words in zip(seeds.tolist(), seed_words(seeds))]
 
@@ -140,26 +143,20 @@ class VoterClass(enum.Enum):
     UNINFORMED_DISENGAGED = "UD"
 
 
-def sample_rosters(params: Sequence[SimParams],
-                   rngs: Sequence[RngStream]) -> tuple[np.ndarray, np.ndarray]:
+def sample_rosters(params: Sequence[SimParams], rngs: Sequence[RngStream]) -> np.ndarray:
     """Sample each row's (is_engaged, is_informed) per voter from two
     independent Bernoullis, row r with ``params[r]`` from stream ``rngs[r]``.
 
-    Returns two (R, N) boolean arrays in voter-id order. A row's 2N draws
-    are taken in one call into one buffer of the block, and the whole block
-    is compared at once with each row's probabilities. Classes are fixed
-    for the whole run. The params share ``num_voters``.
+    Returns the (R, N, 2) boolean rosters ``protocol.init_registry`` takes,
+    in voter-id order. A row's 2N draws, engagement then informedness, are
+    taken in one call into one buffer of the block, and the whole block is
+    compared at once with each row's two probabilities; the rosters are a
+    view of that (R, 2, N) comparison. Classes are fixed for the whole run.
+    The params share ``num_voters``.
     """
     n = params[0].num_voters
     draws = np.empty((len(rngs), 2 * n))
     for rng, row in zip(rngs, draws):
         rng.uniform(2 * n, row)
-    engaged = draws[:, :n] < np.array([p.p_engaged for p in params])[:, None]
-    informed = draws[:, n:] < np.array([p.p_informed for p in params])[:, None]
-    return engaged, informed
-
-
-def sample_roster(params: SimParams, rng: RngStream) -> np.ndarray:
-    """One run's roster, ``sample_rosters`` of one row, as an (N, 2) boolean array."""
-    engaged, informed = sample_rosters([params], [rng])
-    return np.column_stack((engaged[0], informed[0]))
+    cutoffs = np.array([(p.p_engaged, p.p_informed) for p in params])[:, :, None]
+    return (draws.reshape(len(rngs), 2, n) < cutoffs).transpose(0, 2, 1)

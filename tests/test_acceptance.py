@@ -16,7 +16,7 @@ from tcrlab.cli import main
 from tcrlab.harness import METRIC_NAMES, derive_seed, replicate, validate_against_analysis
 from tcrlab.params import SimParams
 from tcrlab.protocol import init_registry, run_round
-from tcrlab.voters import RngStream, sample_roster
+from tcrlab.voters import RngStream, sample_rosters
 
 IDX = {name: i for i, name in enumerate(METRIC_NAMES)}
 CLASSES = ("IE", "ID", "UE", "UD")
@@ -94,7 +94,7 @@ def class_counts(grid, p_i, delta):
     counts = np.empty((REPLICATIONS, len(CLASSES)), dtype=int)
     for rep in range(REPLICATIONS):
         rng = RngStream(derive_seed(BASE_SEED, cell_index, rep))
-        engaged, informed = np.array(sample_roster(params, rng), dtype=bool).T
+        engaged, informed = sample_rosters([params], [rng])[0].T
         counts[rep] = [
             np.sum(informed & engaged),
             np.sum(informed & ~engaged),

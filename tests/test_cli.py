@@ -310,7 +310,7 @@ class TestSweep:
         assert (out1 / "aggregate.csv").read_bytes() == (out8 / "aggregate.csv").read_bytes()
         assert (out1 / "aggregate.json").read_bytes() == (out8 / "aggregate.json").read_bytes()
 
-    # The cell-spanning sweeps of CI's cross-job step. mixed: both stake
+    # Cell-spanning sweeps that each job count cuts differently. mixed: both stake
     # policies, clamping and inflation in one grid. tall: one 24-row block
     # reads its streams ahead at --jobs 1, two 12-row blocks call them round
     # by round at --jobs 2. span3: at --jobs 2 cells 0 and 2 are reduced whole

@@ -31,13 +31,13 @@ from tcrlab.harness import (
     validate_against_analysis,
 )
 from tcrlab.params import AnalysisSigmaStake, ConfigurationError, ProtocolStake, SimParams
-from tcrlab.protocol import InvariantViolation, init_registry
+from tcrlab.protocol import InvariantViolation
 from tcrlab.serialize import (
     aggregate_csv_rows,
     aggregate_json_rounds,
     write_aggregate_json,
 )
-from tcrlab.voters import ReadAhead, RngStream, sample_roster
+from tcrlab.voters import ReadAhead, RngStream
 
 IDX = {name: i for i, name in enumerate(METRIC_NAMES)}
 # The benchmark's reference engine, whose scalar SplitMix64 seed derivation is
@@ -437,23 +437,42 @@ class TestBatchingInvariance:
 
     @pytest.mark.parametrize("replications", [4, 20])
     def test_each_stream_ends_after_its_rows_draws(self, monkeypatch, replications):
-        """A 20-row block reads its streams ahead, refilling every 3 of its 13
-        rounds, and rewinds each to where its row's draws end: the roster's
-        2N, then N + 1 and one per eligible voter each round, as the per-row
-        calls of a 4-row block leave it."""
-        params = SimParams(num_voters=10, num_items=13, initial_stake=40.0)
-        n = params.num_voters
+        """A block of rows with their own params gives each row the whole
+        record ``run_simulation`` gives for its params and seed, byte for
+        byte: rows, every round column and class sizes. A 20-row block reads
+        its streams ahead, refilling every 3 of its 13 rounds, and a 4-row
+        block calls them round by round; either leaves each stream where its
+        row's draws end: the roster's 2N, then N + 1 and one per eligible
+        voter each round."""
+        cells = [SimParams(num_voters=10, num_items=13, initial_stake=stake,
+                           inflation_rate=delta, p_informed=p_informed, clamp_value=clamp)
+                 for stake, delta, p_informed, clamp in ((40.0, 0.05, 0.6, True),
+                                                        (5.0, 0.0, 0.3, True),
+                                                        (20.0, 0.3, 0.1, False))]
+        params = [cells[r % len(cells)] for r in range(replications)]
+        seeds = list(range(replications))
+        n = cells[0].num_voters
         monkeypatch.setattr(harness, "READ_AHEAD_SLOTS", 3 * 20 * (2 * n + 1))
         readers = []
         monkeypatch.setattr(harness, "ReadAhead",
                             lambda *args: readers.append(args) or ReadAhead(*args))
-        rngs = [RngStream(seed) for seed in range(replications)]
-        state = init_registry(params, [sample_roster(params, rng) for rng in rngs])
-        _, columns = harness._advance(state, rngs)
+        blocks = []
+        block_streams = RngStream.block
+        monkeypatch.setattr(RngStream, "block",
+                            lambda seeds: blocks.append(block_streams(seeds)) or blocks[-1])
+        block = harness.run_block(params, seeds)
         assert len(readers) == (replications == 20)
-        for seed, (rng, n_eligible) in enumerate(zip(rngs, columns["n_eligible"])):
+        assert block.rows.shape == (replications, 13, len(METRIC_NAMES))
+        assert block.class_sizes.shape == (replications, 4)
+        assert sorted(block.rounds) == sorted(ROUND_COLUMNS)
+        for seed, (p, rng) in enumerate(zip(params, blocks[0])):
+            alone = run_simulation(RunConfig(p, base_seed=seed))
+            assert block.rows[seed].tobytes() == alone.rows.tobytes(), seed
+            for name in ROUND_COLUMNS:
+                assert block.rounds[name][seed].tobytes() == alone.rounds[name].tobytes(), name
+            assert block.class_sizes[seed].tobytes() == alone.class_sizes.tobytes(), seed
             fresh = RngStream(seed)
-            fresh.uniform(2 * n + int((n + 1 + n_eligible).sum()))
+            fresh.uniform(2 * n + int((n + 1 + alone.rounds["n_eligible"]).sum()))
             assert rng.uniform(1) == fresh.uniform(1), seed
 
     @pytest.mark.parametrize("slots", [1, 7 * 3 * 40, 50 * 3 * 40])

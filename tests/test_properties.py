@@ -8,7 +8,7 @@ from tcrlab.harness import RunConfig, run_simulation
 from tcrlab.metrics import METRIC_NAMES
 from tcrlab.params import SimParams
 from tcrlab.protocol import init_registry, run_round
-from tcrlab.voters import RngStream, VoterClass, sample_roster
+from tcrlab.voters import RngStream, VoterClass, sample_rosters
 
 probability = st.floats(min_value=0.0, max_value=1.0)
 
@@ -95,7 +95,7 @@ def test_full_run_invariants(config):
     assert np.array_equal(trace.rows[:, METRIC_NAMES.index("t_total")], c["total"])
     # The same run, round by round: its masks give the trace's counts.
     rng = RngStream(config.base_seed)
-    state = init_registry(params, [sample_roster(params, rng)])
+    state = init_registry(params, sample_rosters([params], [rng]))
     for k in range(params.num_items):
         rnd = run_round(state, [rng])
         intends, eligible, add = rnd.intends[0], rnd.eligible[0], rnd.add[0]
@@ -128,7 +128,7 @@ def test_runs_are_deterministic(config):
 )
 def test_roster_classes_partition_voters(n, p_e, p_i, seed):
     params = SimParams(num_voters=n, p_engaged=p_e, p_informed=p_i)
-    roster = sample_roster(params, RngStream(seed))
+    roster = sample_rosters([params], [RngStream(seed)])[0]
     state = init_registry(params, [roster])
     state.history.balances[0] = state.balances
     tokens = state.class_tokens(1)[0, 0]

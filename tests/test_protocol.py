@@ -5,7 +5,7 @@ from tcrlab import protocol
 from tcrlab.params import AnalysisSigmaStake, ConfigurationError, SimParams
 from tcrlab.protocol import (GATHER_SLOTS, History, InvariantViolation, init_registry,
                              required_stake, run_round)
-from tcrlab.voters import RngStream, sample_roster
+from tcrlab.voters import RngStream, sample_rosters
 
 # Engaged voters always intend and disengaged never do; informed voters are
 # always correct and uninformed always wrong; every item is good. A round's
@@ -144,7 +144,7 @@ def test_run_round_by_hand_past_several_rings(monkeypatch):
     # run_round checks, then a one-round tail that check_rounds is called for.
     params = [SimParams(num_voters=20, num_items=7, p_informed=p, inflation_rate=0.05)
               for p in (0.2, 0.5, 0.9)]
-    rosters = [sample_roster(p, RngStream(seed)) for seed, p in enumerate(params)]
+    rosters = sample_rosters(params, [RngStream(seed) for seed in range(len(params))])
     state = init_registry(params, rosters)
     h = state.history = History(3, 7, *state.balances.shape)
     rngs = [RngStream(10 + r) for r in range(3)]
@@ -202,9 +202,9 @@ def test_settlement_of_each_row_has_the_bits_of_the_row_run_alone():
     engaged_only = dict(p_vote_engaged=1.0, p_vote_disengaged=0.0)
     params = [SimParams(num_voters=n, num_items=rounds, inflation_rate=d, **kw)
               for d, kw in zip(deltas, ({}, engaged_only, SURE, engaged_only, {}))]
-    rosters = [sample_roster(params[0], RngStream(1)), [(r < 6, True) for r in range(n)],
+    rosters = [sample_rosters(params[:1], [RngStream(1)])[0], [(r < 6, True) for r in range(n)],
                [ADD, ADD, REJ, REJ] + [OUT] * (n - 4), [(True, r % 3 > 0) for r in range(n)],
-               sample_roster(params[4], RngStream(2))]
+               sample_rosters(params[4:], [RngStream(2)])[0]]
     start = np.random.default_rng(3).uniform(50.0, 150.0, (5, n))
     start[1] = np.where(np.arange(n) < 6, 0.5, 1000.0)
     start[3] = 100.0

@@ -5,7 +5,7 @@ import pytest
 
 from tcrlab.params import SimParams
 from tcrlab.protocol import init_registry, run_round
-from tcrlab.voters import RngStream, sample_roster, sample_rosters
+from tcrlab.voters import RngStream, sample_rosters
 
 
 def one_round(roster, seed=0, **kwargs):
@@ -48,16 +48,27 @@ class TestBlockStreams:
         return (self.EDGES + gen.integers(0, 2**64, 1200, dtype=np.uint64).tolist()
                 + gen.integers(0, 2**32, 300, dtype=np.uint64).tolist())
 
-    def test_each_stream_is_pcg64_of_its_seed(self):
-        seeds = self.seeds()
+    def check_streams(self, seeds):
+        """Each stream of ``RngStream.block(seeds)`` is ``PCG64`` of its seed,
+        state and first draws."""
         streams = RngStream.block(seeds)
-        assert [rng.seed for rng in streams] == seeds
+        assert [rng.seed for rng in streams] == [int(seed) for seed in seeds]
         assert all(type(rng.seed) is int for rng in streams)
         for seed, rng in zip(seeds, streams):
-            assert rng._gen.bit_generator.state == np.random.PCG64(seed).state, seed
-        for seed, rng in zip(self.EDGES, streams):
+            assert rng._gen.bit_generator.state == np.random.PCG64(int(seed)).state, seed
+        for seed, rng in zip(seeds[:len(self.EDGES)], streams):
             assert rng.uniform(5).tobytes() == np.random.Generator(
-                np.random.PCG64(seed)).random(5).tobytes(), seed
+                np.random.PCG64(int(seed))).random(5).tobytes(), seed
+
+    def test_each_stream_is_pcg64_of_its_seed(self):
+        self.check_streams(self.seeds())
+
+    @pytest.mark.parametrize("seed", EDGES)
+    def test_a_one_seed_block_is_pcg64_of_its_seed(self, seed):
+        """A block of one seed leaves the hash to ``PCG64``: from a list, and
+        from the uint64 array ``derive_seeds`` gives."""
+        self.check_streams([seed])
+        self.check_streams(np.array([seed], dtype=np.uint64))
 
     def test_a_block_of_one_and_a_python_list(self):
         assert (RngStream.block([2**40 + 3])[0].uniform(3).tobytes()
@@ -71,36 +82,35 @@ class TestSampleRoster:
         params = [SimParams(num_voters=60, p_engaged=e, p_informed=i)
                   for e, i in ((0.1, 0.9), (0.5, 0.3), (0.9, 0.6), (0.3, 0.05))]
         seeds = [3, 2**33 + 1, 17, 2**64 - 2]
-        engaged, informed = sample_rosters(params, RngStream.block(seeds))
-        assert engaged.shape == informed.shape == (4, 60)
+        rosters = sample_rosters(params, RngStream.block(seeds))
+        assert rosters.shape == (4, 60, 2) and rosters.dtype == bool
         streams = RngStream.block(seeds)
         sample_rosters(params, streams)
         for r, (p, seed, rng) in enumerate(zip(params, seeds, streams)):
             fresh = RngStream(seed)
-            roster = sample_roster(p, fresh)
-            assert np.array_equal(roster, np.column_stack((engaged[r], informed[r]))), r
+            assert np.array_equal(sample_rosters([p], [fresh])[0], rosters[r]), r
             # Both streams sit 2N draws in.
             assert rng.uniform(3).tobytes() == fresh.uniform(3).tobytes(), r
             replay = RngStream(seed).uniform(2 * p.num_voters)
-            assert np.array_equal(engaged[r], replay[:60] < p.p_engaged), r
-            assert np.array_equal(informed[r], replay[60:] < p.p_informed), r
+            assert np.array_equal(rosters[r, :, 0], replay[:60] < p.p_engaged), r
+            assert np.array_equal(rosters[r, :, 1], replay[60:] < p.p_informed), r
 
 
     def test_degenerate_all_informed_engaged(self):
         params = SimParams(num_voters=10, p_engaged=1.0, p_informed=1.0)
-        roster = sample_roster(params, RngStream(0))
+        roster = sample_rosters([params], [RngStream(0)])[0]
         assert roster.tolist() == [[True, True]] * 10
 
     def test_degenerate_all_uninformed_disengaged(self):
         params = SimParams(num_voters=5, p_engaged=0.0, p_informed=0.0)
-        roster = sample_roster(params, RngStream(0))
+        roster = sample_rosters([params], [RngStream(0)])[0]
         assert roster.tolist() == [[False, False]] * 5
 
     def test_binomial_marginals_within_three_sigma(self):
         # N=10000, p=0.5 per marginal: each class expects 2500,
         # sigma = sqrt(10000 * 0.25 * 0.75) ~ 43.3
         params = SimParams(num_voters=10000, p_engaged=0.5, p_informed=0.5)
-        roster = sample_roster(params, RngStream(2024))
+        roster = sample_rosters([params], [RngStream(2024)])[0]
         engaged, informed = roster.T
         counts = [np.count_nonzero(e & i)
                   for e in (engaged, ~engaged) for i in (informed, ~informed)]
@@ -110,13 +120,13 @@ class TestSampleRoster:
 
     def test_deterministic_given_seed(self):
         params = SimParams(num_voters=200)
-        assert np.array_equal(sample_roster(params, RngStream(5)),
-                              sample_roster(params, RngStream(5)))
+        assert np.array_equal(sample_rosters([params], [RngStream(5)])[0],
+                              sample_rosters([params], [RngStream(5)])[0])
 
     def test_engagement_block_then_informedness_block(self):
         params = SimParams(num_voters=50)
         stream = RngStream(8).uniform(100)
-        roster = sample_roster(params, RngStream(8))
+        roster = sample_rosters([params], [RngStream(8)])[0]
         assert roster.shape == (50, 2)
         assert np.array_equal(roster[:, 0], stream[:50] < params.p_engaged)
         assert np.array_equal(roster[:, 1], stream[50:] < params.p_informed)
