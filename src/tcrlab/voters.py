@@ -1,11 +1,11 @@
 """Seeded randomness and the four-class stochastic voter model.
 
 Draw order contract (what makes traces replayable): a run owns a single
-stream, ``PCG64(seed)``, however it is built (a block of several runs builds
-its streams from one array pass of ``SeedSequence``'s hash over all its
-seeds; the bit generator's state is the same). The roster is sampled first
-(one block of uniforms for engagement, then one for informedness, voter-id
-order; the two blocks may be drawn as one vector of 2N). Then, per round:
+stream, ``PCG64(seed)``, however it is built (a block builds its streams
+from one array pass of ``SeedSequence``'s hash over all its seeds; the bit
+generator's state is the same). The roster is sampled first (one block of
+uniforms for engagement, then one for informedness, voter-id order; the two
+blocks may be drawn as one vector of 2N). Then, per round:
 one draw for the item's polarity, one participation draw per voter in
 voter-id order, and finally one vote draw per *eligible* participant in
 voter-id order. The item and participation draws are taken as one vector
@@ -48,14 +48,11 @@ class RngStream:
         """One stream per seed, in order, each ``PCG64(seed)``, from one hash
         of all the seeds (``seedseq.seed_words``). The hash has a fixed cost of
         a few ``PCG64(seed)`` calls, after which each stream costs a fraction
-        of one, so a single seed is left to ``PCG64`` to hash. ``seedseq``
-        loads ``numpy.random``, as a stream does, so it is imported here:
-        importing tcrlab loads neither."""
-        seeds = np.asarray(seeds, dtype=np.uint64)
-        if seeds.size == 1:
-            return [cls(int(seeds[0]))]
+        of one. ``seedseq`` loads ``numpy.random``, as a stream does, so it is
+        imported here: importing tcrlab loads neither."""
         from .seedseq import SeedWords, seed_words
 
+        seeds = np.asarray(seeds, dtype=np.uint64)
         return [cls(seed, SeedWords(words))
                 for seed, words in zip(seeds.tolist(), seed_words(seeds))]
 

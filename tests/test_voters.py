@@ -65,8 +65,9 @@ class TestBlockStreams:
 
     @pytest.mark.parametrize("seed", EDGES)
     def test_a_one_seed_block_is_pcg64_of_its_seed(self, seed):
-        """A block of one seed leaves the hash to ``PCG64``: from a list, and
-        from the uint64 array ``derive_seeds`` gives."""
+        """A block of one seed, as ``run_simulation`` builds, goes through the
+        same hash: from a list, and from the uint64 array ``derive_seeds``
+        gives."""
         self.check_streams([seed])
         self.check_streams(np.array([seed], dtype=np.uint64))
 
