@@ -429,11 +429,14 @@ def replicate(
 ) -> np.ndarray:
     """Run independent replications; (replications, rounds, metrics) array.
 
-    Replication r is seeded with ``derive_seed(base_seed, cell_index, r)``.
-    With ``jobs`` > 1 the replications run on the shared process pool (see
+    Replication r is seeded with ``derive_seed(base_seed, cell_index, r)``;
+    both must be integers in [0, 2**64) (``check_seed``). With ``jobs`` > 1
+    the replications run on the shared process pool (see
     ``_replicate_cells``), and every block returns its rows. Identical output
     for any job count.
     """
+    check_seed(base_seed)
+    check_seed(cell_index)
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
     [samples] = _replicate_cells([(cell_index, params)], replications, base_seed, jobs)

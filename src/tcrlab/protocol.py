@@ -21,7 +21,6 @@ so a replication's output does not depend on the block it runs in.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -75,9 +74,10 @@ class History:
     counts of intending, eligible and add voters. ``tokens`` (rounds, R, 4)
     holds each class's tokens after a round once it is checked. Only the (R, N)
     balances after inflation are kept in a ring of ``depth`` slots: round k
-    is in slot k - ``checked`` until ``check_rounds`` checks it and the ring
-    starts over. A slot's balances lead its row of ``padded``, whose zero
-    tail (to a multiple of 8 entries) the class-token sums read.
+    is in slot k - ``checked`` until ``check_rounds`` checks the whole ring
+    at once and the ring starts over. A slot's balances lead its row of
+    ``padded``, whose zero tail (to a multiple of 8 entries) the class-token
+    sums read.
     """
 
     def __init__(self, depth: int, rounds: int, rows: int, n: int):
@@ -98,19 +98,18 @@ class TcrState:
     Balances, engagement and informedness are (R, N) arrays indexed by
     (replication row, voter id). Row r runs with ``params[r]``; the rows of
     a block share a ``block_key``, and everything else a cell may vary is
-    held here once, as an (R,) column, read once from each
-    distinct params object and repeated over its rows. Classes never change
-    during a run, so their sizes, an (R, 4) array in ``VoterClass`` order,
-    and the gathers that sum each class's tokens over the history's ring are
-    fixed here; the sigma stake's base sums read the 0.0 that follows the
-    balances in ``_flat``.
+    held here once, as an (R,) column built from each row's params. Classes
+    never change during a run, so their sizes, an (R, 4) array in
+    ``VoterClass`` order, and the gathers that sum each class's tokens over
+    the history's ring are fixed here; the sigma stake's base sums read the
+    0.0 that follows the balances in ``_flat``.
 
     Each round is recorded in ``history``, which has a row for each of the
-    run's ``num_items`` rounds; its checks run, and its class tokens are
-    summed, once per ring of balances: when the ring is full or
-    ``check_rounds`` is called. The ring holds one round unless a caller
-    replaces the history with a deeper one, so by default every round is
-    checked as it ends.
+    run's ``num_items`` rounds; its checks run, over every row of every
+    round in one pass, and its class tokens are summed, once per ring of
+    balances: when the ring is full or ``check_rounds`` is called. The ring
+    holds one round unless a caller replaces the history with a deeper one,
+    so by default every round is checked as it ends.
 
     Rounds call each row's stream for their draws, unless ``read_ahead``
     holds a ``voters.ReadAhead`` over the same streams, which a caller sets
@@ -120,28 +119,24 @@ class TcrState:
 
     def __init__(self, params: Sequence[SimParams], is_engaged: np.ndarray,
                  is_informed: np.ndarray):
-        distinct = list({id(p): p for p in params}.values())
-        if len({block_key(p) for p in distinct}) != 1:
+        if len(set(map(block_key, params))) != 1:
             raise ConfigurationError(
                 "the rows of a block must share num_voters, num_items and the stake policy kind"
             )
-        index = {id(p): i for i, p in enumerate(distinct)}
-        which = np.array([index[id(p)] for p in params])
         self.params = tuple(params)
         self.num_voters, self.num_items, policy = block_key(params[0])
         self.sigma_stake = policy is AnalysisSigmaStake
-        # Derived values such as 1 + delta are computed in Python, once per
-        # params object, so each column entry is the float a scalar parameter
-        # would give.
+        # Derived values such as 1 + delta are computed in Python, row by row,
+        # so each column entry is the float a scalar parameter would give.
         (initial, self.growth, self.inflation_rate, self.stake_factor, item_good, vote_engaged,
          vote_disengaged, correct_informed, correct_uninformed) = np.array([
             (p.initial_tokens, 1.0 + p.inflation_rate, p.inflation_rate,
              p.stake_policy.sigma if self.sigma_stake else p.initial_stake / p.initial_tokens,
              p.p_item_good, p.p_vote_engaged, p.p_vote_disengaged,
              p.p_correct_informed, p.p_correct_uninformed)
-            for p in distinct
-        ], dtype=np.float64)[which].T
-        self.clamp_value = np.array([p.clamp_value for p in distinct])[which]
+            for p in params
+        ], dtype=np.float64).T
+        self.clamp_value = np.array([p.clamp_value for p in params])
         rows, n = is_engaged.shape
         self._flat = np.zeros(rows * n + 1)
         self.balances = self._flat[:-1].reshape(rows, n)
@@ -275,11 +270,11 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     Each row's values reach its entries, which are contiguous, by
     ``np.repeat`` over the rows' eligible counts; in a one-row block they
     broadcast. The round is recorded in its row of ``state.history``, and
-    its balances in the ring; when the ring fills, every round in it is
-    checked (``check_rounds``). Callers run it under
+    its balances in the ring; when the ring fills, every row of every round
+    in it is checked at once (``check_rounds``). Callers run it under
     ``np.errstate(over="ignore", invalid="ignore")``: a row that overflows
     or turns NaN runs on until its ring is checked, which reports the first
-    failing round once.
+    failing round, and the first failing row in it, once.
     """
     h = state.history
     s = state.round_index
@@ -354,10 +349,14 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
 def check_rounds(state: TcrState, rngs: Sequence[RngStream]) -> None:
     """Check the rounds in the history's ring and sum their class tokens; the ring starts over.
 
-    Conservation, inflation bookkeeping and non-negativity hold in every
-    row of every such round, or the first round that breaks one raises, as
-    ``_check_round`` reports it. Each round's class tokens then fill its row
-    of ``history.tokens``.
+    Each check is one (rounds, R) array over the ring: settlement is
+    zero-sum, the supply is finite, it grew by the inflation rate times the
+    participants' tokens, and no balance is below -REL_TOL x max(1, stake).
+    The two sums agree when ``|actual - expected| <= REL_TOL x
+    max(|expected|, 1)``, and NaN fails every check. The first failing
+    (round, row), in row-major order, raises for its first failing check in
+    that order. Each round's class tokens then fill its row of
+    ``history.tokens``.
     """
     h = state.history
     lo, hi = h.checked, state.round_index
@@ -366,39 +365,31 @@ def check_rounds(state: TcrState, rngs: Sequence[RngStream]) -> None:
     balances = h.balances[:hi - lo]
     pre, post, total = h.pre_settle[lo:hi], h.post_settle[lo:hi], h.total[lo:hi]
     expected = post + state.inflation_rate * h.participant_tokens[lo:hi]
-    # One test per round that implies every check of _check_round, since
-    # hypot(a, b) >= |a|, |b| and the smaller of the two totals scales both
-    # closeness checks; a balance a rounding step below zero passes, as it
-    # does there. Only the rounds that fail it are checked row by row.
-    fine = ((np.hypot(post - pre, total - expected)
-             / np.maximum(np.minimum(pre, expected), 1.0)).max(axis=1) <= 0.5 * REL_TOL)
-    fine &= balances.min(axis=(1, 2)) >= -REL_TOL
-    if not fine.all():
-        for s in np.flatnonzero(~fine).tolist():
-            _check_round(state, rngs, lo + s, balances[s], h.stake[lo + s],
-                         pre[s], post[s], total[s], expected[s])
-    h.tokens[lo:hi] = state.class_tokens(hi - lo)
-    h.checked = hi
+    # Every row's bound is at most -REL_TOL, so a slot whose lowest balance
+    # is at least that passes in every row; only otherwise is each row's taken.
+    lowest = balances.min(axis=(1, 2))[:, None]
+    if not (lowest >= -REL_TOL).all():
+        lowest = balances.min(axis=2)
 
+    def close(actual, wanted):
+        return np.abs(actual - wanted) <= REL_TOL * np.maximum(np.abs(wanted), 1.0)
 
-def _check_round(state, rngs, k, balances, stake, pre_settle_total, post_settle_total, total,
-                 expected):
-    """Conservation, overflow, inflation bookkeeping and non-negativity of round ``k``, row by row."""
-    for r in range(len(stake)):
-        where = f"round {k} (seed {rngs[r].seed})"
-        _check_close(float(post_settle_total[r]), float(pre_settle_total[r]),
-                     "settlement zero-sum", where, r)
-        if not math.isfinite(total[r]):
+    failed = ~np.array([close(post, pre), np.isfinite(total), close(total, expected),
+                        lowest >= -REL_TOL * np.fmax(h.stake[lo:hi], 1.0)])
+    if failed.any():
+        s, r = np.argwhere(failed.any(axis=0))[0].tolist()
+        where = f"round {lo + s} (seed {rngs[r].seed})"
+        check = failed[:, s, r].argmax()
+        if check == 1:
             raise ConfigurationError(
-                f"token balances overflow at round {k}: inflation_rate "
+                f"token balances overflow at round {lo + s}: inflation_rate "
                 f"{state.params[r].inflation_rate} compounds past the float range"
             )
-        _check_close(float(total[r]), float(expected[r]), "inflation bookkeeping", where, r)
-        if not balances[r].min() >= -REL_TOL * max(1.0, float(stake[r])):
+        if check == 3:
             raise InvariantViolation(f"negative balance after {where}", r)
-
-
-def _check_close(actual: float, expected: float, what: str, where: str, row: int) -> None:
-    scale = max(abs(expected), 1.0)
-    if not abs(actual - expected) <= REL_TOL * scale:
-        raise InvariantViolation(f"{what} at {where}: {actual!r} != {expected!r}", row)
+        what, actual, wanted = (("settlement zero-sum", post, pre) if check == 0
+                                else ("inflation bookkeeping", total, expected))
+        raise InvariantViolation(
+            f"{what} at {where}: {actual[s, r].item()!r} != {wanted[s, r].item()!r}", r)
+    h.tokens[lo:hi] = state.class_tokens(hi - lo)
+    h.checked = hi

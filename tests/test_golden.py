@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from tcrlab import harness
 from tcrlab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -49,16 +50,25 @@ CASES = [
     ("summary_seed42.json", None, ["simulate", "--seed", "42"], "summary.json"),
     ("trace_small_seed3.csv", SMALL, ["simulate", "{config}", "--seed", "3"], "trace.csv"),
     ("summary_small_seed3.json", SMALL, ["simulate", "{config}", "--seed", "3"], "summary.json"),
-    ("aggregate_2cell.csv", SWEEP_2CELL, ["sweep", "{config}"], "aggregate.csv"),
-    ("aggregate_2cell.json", SWEEP_2CELL, ["sweep", "{config}"], "aggregate.json"),
-    ("aggregate_wide.json", SWEEP_WIDE, ["sweep", "{config}"], "aggregate.json"),
-    ("aggregate_nan.csv", SWEEP_NAN, ["sweep", "{config}"], "aggregate.csv"),
-    ("aggregate_nan.json", SWEEP_NAN, ["sweep", "{config}"], "aggregate.json"),
 ]
+# Each sweep at one job and on a pool of two, whose workers reduce and
+# render their cells: both must give the golden bytes.
+SWEEPS = [
+    ("aggregate_2cell.csv", SWEEP_2CELL, "aggregate.csv"),
+    ("aggregate_2cell.json", SWEEP_2CELL, "aggregate.json"),
+    ("aggregate_wide.json", SWEEP_WIDE, "aggregate.json"),
+    ("aggregate_nan.csv", SWEEP_NAN, "aggregate.csv"),
+    ("aggregate_nan.json", SWEEP_NAN, "aggregate.json"),
+]
+CASES += [(fixture, config, ["sweep", "{config}", "--jobs", jobs], artifact)
+          for fixture, config, artifact in SWEEPS for jobs in ("1", "2")]
+IDS = [fixture + ("-jobs2" if argv[-2:] == ["--jobs", "2"] else "")
+       for fixture, _, argv, _ in CASES]
 
 
-@pytest.mark.parametrize("fixture,config,argv,artifact", CASES, ids=[c[0] for c in CASES])
-def test_output_matches_golden_file(tmp_path, fixture, config, argv, artifact):
+@pytest.mark.parametrize("fixture,config,argv,artifact", CASES, ids=IDS)
+def test_output_matches_golden_file(tmp_path, monkeypatch, fixture, config, argv, artifact):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)  # a pool on one CPU too
     cfg = tmp_path / "config.json"
     if config is not None:
         cfg.write_text(json.dumps(config))

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -158,6 +159,13 @@ class TestReplicate:
     def test_invalid_replications(self):
         with pytest.raises(ConfigurationError):
             replicate(SimParams(), 0, base_seed=0)
+        # Seeds and cell indices outside [0, 2**64) are rejected as RunConfig
+        # and SweepSpec reject them, not wrapped or raised as a TypeError.
+        for seed in (2**64, -1, 1.5, True):
+            message = re.escape(f"seed must be an integer in [0, 2**64), got {seed!r}")
+            for kwargs in ({"base_seed": seed}, {"base_seed": 0, "cell_index": seed}):
+                with pytest.raises(ConfigurationError, match=message):
+                    replicate(SimParams(num_items=1), 2, **kwargs)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_invalid_jobs(self, jobs):
@@ -687,23 +695,33 @@ class TestStackedChecks:
             replicate(params, 4, base_seed=8, cell_index=1)
         return (type(exc.value), str(exc.value)), depths
 
-    @pytest.mark.parametrize("slots,depth,faults,expected", [
+    @pytest.mark.parametrize("slots,depth,faults,expected,params", [
         (2**16, 10, {3: set_balance(2, np.nan)},
-         "cell 1, replication 2: settlement zero-sum at round 3 (seed {seed[2]}): nan != nan"),
+         "cell 1, replication 2: settlement zero-sum at round 3 (seed {seed[2]}): nan != nan",
+         PARAMS),
         # Rounds 8 and 9 are the last, partial history.
         (160, 4, {9: set_balance(1, -1.0)},
-         "cell 1, replication 1: negative balance after round 9 (seed {seed[1]})"),
-        # -3e-9 is below the per-history test's -1e-9 but within the row
-        # check's 1e-9 x stake (about 5), so rounds 2-5 pass the row check.
+         "cell 1, replication 1: negative balance after round 9 (seed {seed[1]})", PARAMS),
+        # -3e-9 is below every row's bound at a stake of 1 but within
+        # 1e-9 x stake (about 5), so rounds 2-5 pass.
         (2**16, 10, {2: set_balance(0, -3e-9), 6: set_balance(3, -1.0)},
-         "cell 1, replication 3: negative balance after round 6 (seed {seed[3]})"),
-    ], ids=["nan-in-a-history", "last-partial-history", "tolerated-then-negative"])
+         "cell 1, replication 3: negative balance after round 6 (seed {seed[3]})", PARAMS),
+        # The earlier round fails first, though a lower row fails later.
+        (2**16, 10, {4: set_balance(3, -1.0), 6: set_balance(0, -1.0)},
+         "cell 1, replication 3: negative balance after round 4 (seed {seed[3]})", PARAMS),
+        # At a zero stake the bound is -1e-9 x max(1, stake), so -5e-10
+        # passes in every round.
+        (2**16, 10, {3: set_balance(2, -5e-10), 7: set_balance(1, -1.0)},
+         "cell 1, replication 1: negative balance after round 7 (seed {seed[1]})",
+         replace(PARAMS, initial_stake=0.0)),
+    ], ids=["nan-in-a-history", "last-partial-history", "tolerated-then-negative",
+            "earlier-round-first", "zero-stake-bound"])
     def test_invariant_violation_is_the_first_failing_round(self, monkeypatch, slots, depth,
-                                                            faults, expected):
+                                                            faults, expected, params):
         seed = [derive_seed(8, 1, rep) for rep in range(4)]
         expected = (InvariantViolation, expected.format(seed=seed))
-        assert self.first_failure(monkeypatch, 1, faults) == (expected, {1})
-        assert self.first_failure(monkeypatch, slots, faults) == (expected, {depth})
+        assert self.first_failure(monkeypatch, 1, faults, params) == (expected, {1})
+        assert self.first_failure(monkeypatch, slots, faults, params) == (expected, {depth})
 
     def test_overflow_names_the_first_overflowing_round(self, monkeypatch):
         params = replace(self.PARAMS, initial_tokens=1e300, inflation_rate=9.0)
