@@ -16,11 +16,11 @@ import sys
 from pathlib import Path
 
 from .analysis import AnalysisParams
-from .harness import RunConfig, run_sweep, run_simulation, validate_against_analysis
+from .harness import run_sweep, run_simulation, validate_against_analysis
 from .params import ConfigurationError, SimParams
 from .serialize import (
     TRACE_COLUMNS,
-    run_config_from_file,
+    params_from_file,
     sweep_spec_from_file,
     write_aggregate_csv,
     write_aggregate_json,
@@ -124,14 +124,11 @@ def _worker_failures() -> tuple[type[Exception], ...]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        config = run_config_from_file(args.config, seed=args.seed)
-    else:
-        config = RunConfig(sim_params=SimParams(), base_seed=args.seed)
-    trace = run_simulation(config)
+    params = SimParams() if args.config is None else params_from_file(args.config)
+    trace = run_simulation(params, args.seed)
     out = _out_dir(args.out)
     write_trace_csv(out / "trace.csv", trace)
-    write_summary_json(out / "summary.json", config, trace)
+    write_summary_json(out / "summary.json", params, args.seed, trace)
     return 0
 
 

@@ -45,21 +45,10 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One simulation run: parameters and seed."""
-
-    sim_params: SimParams
-    base_seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_seed(self.base_seed)
-
-
 class Trace(NamedTuple):
     """One run: its (rounds, metrics) rows, in METRIC_NAMES order; its
     per-round columns, (rounds,) arrays keyed by ``ROUND_COLUMNS``; and its
-    class sizes, in ``VoterClass`` order. A block of R runs has the same
+    class sizes, in ``CLASSES`` order. A block of R runs has the same
     record with a leading row axis: (R, rounds, metrics) rows, (R, rounds)
     columns and (R, 4) class sizes."""
 
@@ -74,15 +63,15 @@ ROUND_COLUMNS = ("v_correct", "total", "stake", "item_good", "decision_add", "n_
                  "n_eligible", "n_add")
 
 
-def run_simulation(config: RunConfig) -> Trace:
-    """Execute all rounds of one run; returns its ``Trace``.
+def run_simulation(params: SimParams, seed: int) -> Trace:
+    """Execute all rounds of the run of ``params`` seeded ``seed``; returns its ``Trace``.
 
-    This is row 0 of a one-row ``run_block``, so it is set up exactly as a
-    replication of a sweep is.
+    The seed must be an integer in [0, 2**64). The run is row 0 of a one-row
+    ``run_block``, so it is set up exactly as a replication of a sweep is.
     """
-    params = config.sim_params
+    check_seed(seed)
     _check_size(params)
-    block = run_block([params], [config.base_seed])
+    block = run_block([params], [seed])
     return Trace(block.rows[0], {name: column[0] for name, column in block.rounds.items()},
                  block.class_sizes[0])
 
@@ -251,7 +240,7 @@ def _block_task(task: tuple[int, tuple[Segment, ...], int | None]) -> list:
     except InvariantViolation as exc:
         rows = [(cell_index, rep) for cell_index, start, stop in ranges
                 for rep in range(start, stop)]
-        cell_index, rep = ("?", "?") if exc.row is None else rows[exc.row]
+        cell_index, rep = rows[exc.row]
         raise InvariantViolation(f"cell {cell_index}, replication {rep}: {exc}") from exc
     parts, offset = [], 0
     for *_, start, stop in segments:
@@ -607,13 +596,14 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> AggregateStats:
     When ``jobs`` > 1, the process pool that every parallel call shares runs
     the blocks; it is started by the first such call and kept for the next.
     """
-    overrides = spec.cells()
-    cells = [(c, replace(spec.base_params, **o)) for c, o in enumerate(overrides)]
+    cells = [(c, replace(spec.base_params, **o)) for c, o in enumerate(spec.cells())]
     aggregates = []
     # Closing the runs cancels their queued blocks if a cell below raises.
     with closing(_replicate_cells(cells, spec.replications, spec.base_seed, jobs,
                                   reduce=True)) as runs:
-        for (stats, counts, csv_rows, json_rounds), params in zip(runs, overrides):
+        for (stats, counts, csv_rows, json_rounds), (_, cell) in zip(runs, cells):
+            # The cell's grid values as its SimParams holds them (``check_fields``).
+            params = {name: getattr(cell, name) for name, _ in spec.grid}
             # Finite samples can still overflow a mean's sum or a std's squares.
             if any(np.isinf(stat).any() for stat in stats.values()):
                 raise ConfigurationError(

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .voters import VoterClass
-
-CLASS_ORDER = tuple(VoterClass)
+from .voters import CLASSES
 
 # One metrics row per round, in this order; wealth is NaN for an empty class
 # so cross-seed aggregation can skip it instead of biasing means with zeros.
@@ -19,8 +17,8 @@ METRIC_NAMES = (
     "lurp_raw",
     "lurp_clamped",
     "t_total",
-    *(f"tokens_{cls.value}" for cls in CLASS_ORDER),
-    *(f"wealth_{cls.value}" for cls in CLASS_ORDER),
+    *(f"tokens_{cls}" for cls in CLASSES),
+    *(f"wealth_{cls}" for cls in CLASSES),
 )
 
 
@@ -48,7 +46,7 @@ def metric_rows(clamp_value, class_sizes, v_correct, rounds, t_total, tokens) ->
     ``v_correct`` (correct decisions), ``rounds`` (rounds done) and
     ``t_total`` (token supply) share a shape S, and ``clamp_value`` (whether
     wealth uses the clamped value) broadcasts against it; ``tokens`` is
-    S + (4,) in CLASS_ORDER, and ``class_sizes`` broadcasts against it.
+    S + (4,) in CLASSES order, and ``class_sizes`` broadcasts against it.
     Returns S + (len(METRIC_NAMES),).
     """
     raw = lurp(v_correct, rounds - v_correct)

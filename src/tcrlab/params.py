@@ -17,6 +17,9 @@ def check_fields(params) -> None:
 
     An int field takes an integer, a float field an integer or a finite
     real, and a bool field a bool; a bool is not accepted as a number.
+    A number that is not a Python int or float, such as a numpy scalar, is
+    stored as ``int(value)`` if it is an integer and ``float(value)`` if not,
+    so a run computes in Python ints and float64 whatever type it is given.
     The modules that call it postpone annotations, so ``f.type`` is a string.
     """
     for f in fields(params):
@@ -27,10 +30,19 @@ def check_fields(params) -> None:
         elif f.type == "int":
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            if not isinstance(value, int):
+                object.__setattr__(params, f.name, int(value))
         elif f.type == "float":
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:
+            number = value
+            if not isinstance(value, (int, float)):
+                try:
+                    number = int(value) if isinstance(value, numbers.Integral) else float(value)
+                except OverflowError:  # a real too large for a float
+                    number = math.inf
+                object.__setattr__(params, f.name, number)
+            if not abs(number) <= sys.float_info.max:
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
 
 

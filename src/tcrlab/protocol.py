@@ -27,10 +27,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .params import AnalysisSigmaStake, ConfigurationError, SimParams
-from .voters import RngStream, VoterClass
+from .voters import CLASSES, RngStream
 
 REL_TOL = 1e-9
-_UE = tuple(VoterClass).index(VoterClass.UNINFORMED_ENGAGED)
+_UE = CLASSES.index("UE")
 # Entries a class sum gathers at once; a longer stack of rounds goes in chunks.
 GATHER_SLOTS = 2**13
 
@@ -88,7 +88,7 @@ class History:
          self.total) = np.empty((5, rounds, rows))
         self.item_good, self.decision_add = np.empty((2, rounds, rows), dtype=bool)
         self.n_intends, self.n_eligible, self.n_add = np.empty((3, rounds, rows), dtype=np.int64)
-        self.tokens = np.empty((rounds, rows, len(VoterClass)))
+        self.tokens = np.empty((rounds, rows, len(CLASSES)))
         self.checked = 0
 
 
@@ -100,7 +100,7 @@ class TcrState:
     a block share a ``block_key``, and everything else a cell may vary is
     held here once, as an (R,) column built from each row's params. Classes
     never change during a run, so their sizes, an (R, 4) array in
-    ``VoterClass`` order, and the gathers that sum each class's tokens over
+    ``CLASSES`` order, and the gathers that sum each class's tokens over
     the history's ring are fixed here; the sigma stake's base sums read the
     0.0 that follows the balances in ``_flat``.
 
@@ -143,7 +143,7 @@ class TcrState:
         self.balances[:] = initial[:, None]
         self.round_index = 0
         self.history = History(1, self.num_items, rows, n)
-        # (R, 4, N) in VoterClass order: IE, ID, UE, UD.
+        # (R, 4, N) in CLASSES order: IE, ID, UE, UD.
         masks = np.stack([is_informed & is_engaged, is_informed & ~is_engaged,
                           ~is_informed & is_engaged, ~is_informed & ~is_engaged], axis=1)
         self._class_masks = masks
@@ -166,7 +166,7 @@ class TcrState:
         self._vote_grid = np.zeros((rows, n))
 
     def class_tokens(self, rounds: int) -> np.ndarray:
-        """(rounds, R, 4) tokens held by each class, in ``VoterClass`` order,
+        """(rounds, R, 4) tokens held by each class, in ``CLASSES`` order,
         after each of the first ``rounds`` ring slots of ``history``; each
         entry has the bits of ``balances[r][class_mask].sum()`` of its slot."""
         return self._classes.sums(self.history.padded, rounds).reshape(

@@ -21,15 +21,16 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .harness import AggregateStats, RunConfig, STAT_NAMES, SweepSpec, Trace, ValidationReport
-from .metrics import CLASS_ORDER, METRIC_NAMES
+from .harness import AggregateStats, STAT_NAMES, SweepSpec, Trace, ValidationReport
+from .metrics import METRIC_NAMES
 from .params import AnalysisSigmaStake, ConfigurationError, ProtocolStake, SimParams
+from .voters import CLASSES
 
 TRACE_COLUMNS = (
     "round",
@@ -96,17 +97,9 @@ def stake_policy_from_dict(doc: dict):
     raise ConfigurationError(f"unknown stake_policy kind {kind!r}")
 
 
-def params_to_dict(params: SimParams) -> dict:
-    doc = {}
-    for f in fields(SimParams):
-        value = getattr(params, f.name)
-        doc[f.name] = stake_policy_to_dict(value) if f.name == "stake_policy" else value
-    return doc
-
-
-def params_from_dict(doc: dict, defaults: SimParams | None = None) -> SimParams:
+def params_from_dict(doc: dict) -> SimParams:
     """Build SimParams from a JSON object; unknown keys rejected, missing
-    keys fall back to the defaults."""
+    keys fall back to SimParams' defaults."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"params must be a JSON object, got {type(doc).__name__}")
     valid = {f.name for f in fields(SimParams)}
@@ -116,15 +109,14 @@ def params_from_dict(doc: dict, defaults: SimParams | None = None) -> SimParams:
     kwargs = dict(doc)
     if "stake_policy" in kwargs:
         kwargs["stake_policy"] = stake_policy_from_dict(kwargs["stake_policy"])
-    base = defaults if defaults is not None else SimParams()
     try:
-        return replace(base, **kwargs)
+        return SimParams(**kwargs)
     except TypeError as exc:
         raise ConfigurationError(str(exc)) from exc
 
 
-def run_config_from_file(path: str | Path, seed: int) -> RunConfig:
-    return RunConfig(sim_params=params_from_dict(_load_json(path)), base_seed=seed)
+def params_from_file(path: str | Path) -> SimParams:
+    return params_from_dict(_load_json(path))
 
 
 def sweep_spec_from_file(path: str | Path) -> SweepSpec:
@@ -171,25 +163,22 @@ def write_trace_csv(path: Path, trace: Trace) -> None:
         fh.write(_blank_nans(rows % tuple(table.ravel().tolist())))
 
 
-def write_summary_json(path: Path, config: RunConfig, trace: Trace) -> None:
+def write_summary_json(path: Path, params: SimParams, seed: int, trace: Trace) -> None:
+    """``summary.json`` of the run of ``params`` seeded ``seed`` whose trace is ``trace``."""
     doc = {
-        "seed": config.base_seed,
-        "params": params_to_dict(config.sim_params),
+        "seed": seed,
+        "params": _jsonable({f.name: getattr(params, f.name) for f in fields(SimParams)}),
         "rounds": len(trace.rows),
     }
     if len(trace.rows):
         final = dict(zip(METRIC_NAMES, trace.rows[-1].tolist()))
-        doc["class_counts"] = {
-            cls.value: n for cls, n in zip(CLASS_ORDER, trace.class_sizes.tolist())
-        }
+        doc["class_counts"] = dict(zip(CLASSES, trace.class_sizes.tolist()))
         doc["final"] = {
             "lurp_raw": int(final["lurp_raw"]),
             "lurp_clamped": int(final["lurp_clamped"]),
             "t_total": final["t_total"],
-            "tokens": {cls.value: final[f"tokens_{cls.value}"] for cls in CLASS_ORDER},
-            "wealth": {
-                cls.value: _json_num(final[f"wealth_{cls.value}"]) for cls in CLASS_ORDER
-            },
+            "tokens": {cls: final[f"tokens_{cls}"] for cls in CLASSES},
+            "wealth": {cls: _json_num(final[f"wealth_{cls}"]) for cls in CLASSES},
         }
     _dump_json(path, doc)
 
@@ -284,15 +273,11 @@ def _json_num(x: float):
     return None if math.isnan(x) else x
 
 
-def _jsonable(doc: dict) -> dict:
-    out = {}
-    for key, value in doc.items():
-        if isinstance(value, (np.floating, np.integer)):
-            value = value.item()
-        elif isinstance(value, (ProtocolStake, AnalysisSigmaStake)):
-            value = stake_policy_to_dict(value)
-        out[key] = value
-    return out
+def _jsonable(params: dict) -> dict:
+    """Params by name, with each stake policy as its JSON object."""
+    return {name: stake_policy_to_dict(value)
+            if isinstance(value, (ProtocolStake, AnalysisSigmaStake)) else value
+            for name, value in params.items()}
 
 
 def _dump_json(path: Path, doc) -> None:

@@ -18,7 +18,6 @@ stream ends at, are the same as with one call per draw vector.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -133,11 +132,9 @@ class ReadAhead:
         self._next[:] = 0
 
 
-class VoterClass(enum.Enum):
-    INFORMED_ENGAGED = "IE"
-    INFORMED_DISENGAGED = "ID"
-    UNINFORMED_ENGAGED = "UE"
-    UNINFORMED_DISENGAGED = "UD"
+# The four voter classes, in the order of every per-class column: informed
+# or uninformed (I/U), engaged or disengaged (E/D).
+CLASSES = ("IE", "ID", "UE", "UD")
 
 
 def sample_rosters(params: Sequence[SimParams], rngs: Sequence[RngStream]) -> np.ndarray:

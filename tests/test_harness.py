@@ -22,7 +22,6 @@ from tcrlab.analysis import AnalysisParams
 from tcrlab.harness import (
     METRIC_NAMES,
     ROUND_COLUMNS,
-    RunConfig,
     SweepSpec,
     aggregate_metrics,
     derive_seed,
@@ -86,30 +85,29 @@ def starts(events):
 
 class TestRunSimulation:
     def test_default_run_shape(self):
-        trace = run_simulation(RunConfig(SimParams(), base_seed=42))
+        trace = run_simulation(SimParams(), 42)
         assert trace.rows.shape == (50, len(METRIC_NAMES))
         assert {name: column.shape for name, column in trace.rounds.items()} == dict.fromkeys(
             ROUND_COLUMNS, (50,))
         assert trace.class_sizes.sum() == 100
 
     def test_zero_rounds(self):
-        trace = run_simulation(RunConfig(SimParams(num_items=0), base_seed=1))
+        trace = run_simulation(SimParams(num_items=0), 1)
         assert trace.rows.shape == (0, len(METRIC_NAMES))
         assert all(column.shape == (0,) for column in trace.rounds.values())
 
     def test_deterministic(self):
-        config = RunConfig(SimParams(), base_seed=7)
-        a = run_simulation(config).rows
-        b = run_simulation(config).rows
+        a = run_simulation(SimParams(), 7).rows
+        b = run_simulation(SimParams(), 7).rows
         assert np.array_equal(a, b)
 
     def test_seed_changes_trace(self):
-        a = run_simulation(RunConfig(SimParams(), base_seed=1)).rows
-        b = run_simulation(RunConfig(SimParams(), base_seed=2)).rows
+        a = run_simulation(SimParams(), 1).rows
+        b = run_simulation(SimParams(), 2).rows
         assert not np.array_equal(a, b)
 
     def test_no_inflation_conserves_total(self):
-        trace = run_simulation(RunConfig(SimParams(inflation_rate=0.0), base_seed=3))
+        trace = run_simulation(SimParams(inflation_rate=0.0), 3)
         totals = trace.rows[:, IDX["t_total"]]
         assert max(totals) - min(totals) <= 1e-9 * 10000
 
@@ -159,13 +157,16 @@ class TestReplicate:
     def test_invalid_replications(self):
         with pytest.raises(ConfigurationError):
             replicate(SimParams(), 0, base_seed=0)
-        # Seeds and cell indices outside [0, 2**64) are rejected as RunConfig
-        # and SweepSpec reject them, not wrapped or raised as a TypeError.
+        # Seeds and cell indices outside [0, 2**64) are rejected as
+        # run_simulation and SweepSpec reject them, not wrapped or raised as a
+        # TypeError.
         for seed in (2**64, -1, 1.5, True):
             message = re.escape(f"seed must be an integer in [0, 2**64), got {seed!r}")
             for kwargs in ({"base_seed": seed}, {"base_seed": 0, "cell_index": seed}):
                 with pytest.raises(ConfigurationError, match=message):
                     replicate(SimParams(num_items=1), 2, **kwargs)
+            with pytest.raises(ConfigurationError, match=message):
+                run_simulation(SimParams(num_items=1), seed)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_invalid_jobs(self, jobs):
@@ -430,7 +431,7 @@ class TestBatchingInvariance:
         runs end on a part-filled refill."""
         params = BATCH_CELLS[name]
         expected = np.array([
-            run_simulation(RunConfig(params, base_seed=derive_seed(9, 3, rep))).rows
+            run_simulation(params, derive_seed(9, 3, rep)).rows
             for rep in range(replications)
         ])
         blocks_read_ahead = replications >= harness.READ_AHEAD_ROWS
@@ -474,7 +475,7 @@ class TestBatchingInvariance:
         assert block.class_sizes.shape == (replications, 4)
         assert sorted(block.rounds) == sorted(ROUND_COLUMNS)
         for seed, (p, rng) in enumerate(zip(params, blocks[0])):
-            alone = run_simulation(RunConfig(p, base_seed=seed))
+            alone = run_simulation(p, seed)
             assert block.rows[seed].tobytes() == alone.rows.tobytes(), seed
             for name in ROUND_COLUMNS:
                 assert block.rounds[name][seed].tobytes() == alone.rounds[name].tobytes(), name
@@ -491,10 +492,10 @@ class TestBatchingInvariance:
         params = SimParams(num_voters=40, num_items=50, stake_policy=AnalysisSigmaStake(0.1))
         monkeypatch.setattr(harness, "HISTORY_SLOTS", 2**40)
         expected = replicate(params, 3, base_seed=4)
-        trace = run_simulation(RunConfig(params, base_seed=8))
+        trace = run_simulation(params, 8)
         monkeypatch.setattr(harness, "HISTORY_SLOTS", slots)
         assert replicate(params, 3, base_seed=4).tobytes() == expected.tobytes()
-        chunked = run_simulation(RunConfig(params, base_seed=8))
+        chunked = run_simulation(params, 8)
         assert chunked.rows.tobytes() == trace.rows.tobytes()
         for name in ROUND_COLUMNS:
             assert chunked.rounds[name].tobytes() == trace.rounds[name].tobytes(), name

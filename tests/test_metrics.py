@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from tcrlab.metrics import CLASS_ORDER, METRIC_NAMES, class_wealth, lurp, metric_rows
+from tcrlab.metrics import METRIC_NAMES, class_wealth, lurp, metric_rows
 from tcrlab.params import SimParams
 from tcrlab.protocol import init_registry, run_round
-from tcrlab.voters import RngStream
+from tcrlab.voters import CLASSES, RngStream
 
-TOKENS = [f"tokens_{cls.value}" for cls in CLASS_ORDER]
-WEALTH = [f"wealth_{cls.value}" for cls in CLASS_ORDER]
+TOKENS = [f"tokens_{cls}" for cls in CLASSES]
+WEALTH = [f"wealth_{cls}" for cls in CLASSES]
 
 
 def snapshot(state, v_correct=None):

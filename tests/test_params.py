@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from tcrlab.params import (
@@ -41,12 +44,23 @@ def test_defaults_are_valid():
         {"p_engaged": True},
         {"initial_tokens": "100"},
         {"initial_tokens": 10**400},
+        {"initial_tokens": Fraction(10**400)},
+        {"initial_tokens": np.float32("inf")},
         {"clamp_value": 1},
     ],
 )
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ConfigurationError):
         SimParams(**kwargs)
+
+
+def test_numpy_numbers_are_stored_as_python_numbers():
+    p = SimParams(num_voters=np.int64(10), initial_tokens=np.int32(100), p_engaged=0,
+                  inflation_rate=np.float32(0.05), stake_policy=AnalysisSigmaStake(np.float16(0.5)))
+    assert (p.num_voters, p.initial_tokens, p.p_engaged) == (10, 100, 0)
+    assert type(p.num_voters) is type(p.initial_tokens) is type(p.p_engaged) is int
+    assert type(p.inflation_rate) is type(p.stake_policy.sigma) is float
+    assert (p.inflation_rate, p.stake_policy.sigma) == (float(np.float32(0.05)), 0.5)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0, -0.2, 1.5, float("nan"), float("inf")])

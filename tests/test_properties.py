@@ -4,11 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcrlab.harness import RunConfig, run_simulation
+from tcrlab.harness import run_simulation
 from tcrlab.metrics import METRIC_NAMES
 from tcrlab.params import SimParams
 from tcrlab.protocol import init_registry, run_round
-from tcrlab.voters import RngStream, VoterClass, sample_rosters
+from tcrlab.voters import CLASSES, RngStream, sample_rosters
 
 probability = st.floats(min_value=0.0, max_value=1.0)
 
@@ -68,7 +68,7 @@ def sim_configs(draw):
         p_correct_uninformed=draw(probability),
     )
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return RunConfig(sim_params=params, base_seed=seed)
+    return params, seed
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,14 +76,14 @@ def sim_configs(draw):
 def test_full_run_invariants(config):
     # conservation, inflation bookkeeping and non-negativity are enforced
     # inside run_round itself; a finishing run already certifies them.
-    params = config.sim_params
-    trace = run_simulation(config)
+    params, seed = config
+    trace = run_simulation(params, seed)
     assert len(trace.rows) == params.num_items
     assert trace.class_sizes.sum() == params.num_voters
     for row in trace.rows:
         row = dict(zip(METRIC_NAMES, row.tolist()))
         assert row["lurp_clamped"] == max(0, row["lurp_raw"])
-        tokens = sum(row[f"tokens_{cls.value}"] for cls in VoterClass)
+        tokens = sum(row[f"tokens_{cls}"] for cls in CLASSES)
         assert abs(tokens - row["t_total"]) <= 1e-9 * max(row["t_total"], 1.0)
     c = trace.rounds
     assert all(len(column) == params.num_items for column in c.values())
@@ -94,7 +94,7 @@ def test_full_run_invariants(config):
     assert np.array_equal(c["v_correct"], np.cumsum(c["decision_add"] == c["item_good"]))
     assert np.array_equal(trace.rows[:, METRIC_NAMES.index("t_total")], c["total"])
     # The same run, round by round: its masks give the trace's counts.
-    rng = RngStream(config.base_seed)
+    rng = RngStream(seed)
     state = init_registry(params, sample_rosters([params], [rng]))
     for k in range(params.num_items):
         rnd = run_round(state, [rng])
@@ -115,8 +115,8 @@ def test_full_run_invariants(config):
 @settings(max_examples=60, deadline=None)
 @given(sim_configs())
 def test_runs_are_deterministic(config):
-    a = run_simulation(config).rows
-    b = run_simulation(config).rows
+    a = run_simulation(*config).rows
+    b = run_simulation(*config).rows
     assert np.array_equal(a, b, equal_nan=True)
 
 
@@ -134,7 +134,7 @@ def test_roster_classes_partition_voters(n, p_e, p_i, seed):
     tokens = state.class_tokens(1)[0, 0]
     assert state.class_sizes.sum() == n
     assert tokens.sum() == state.balances.sum(axis=1)[0]
-    # (is_engaged, is_informed) of each class, in VoterClass order: IE, ID, UE, UD.
+    # (is_engaged, is_informed) of each class, in CLASSES order: IE, ID, UE, UD.
     flags = [(True, True), (False, True), (True, False), (False, False)]
     for c, cls_flags in enumerate(flags):
         in_class = [(e, i) == cls_flags for e, i in roster.tolist()]

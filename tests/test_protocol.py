@@ -110,7 +110,7 @@ def test_params_columns_are_each_rows_values():
 
 
 class TestClassTokens:
-    # Class sizes per row, in VoterClass order (IE, ID, UE, UD), of a
+    # Class sizes per row, in CLASSES order (IE, ID, UE, UD), of a
     # 400-voter block: empty, 1-7, 8-128 and above-128 classes, different
     # in every row.
     SIZES = [(0, 3, 130, 267), (1, 7, 8, 384), (128, 129, 0, 143), (5, 64, 200, 131)]

@@ -10,6 +10,7 @@ were first written.
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from tcrlab.harness import (
     STAT_NAMES,
     AggregateStats,
     CellAggregate,
-    RunConfig,
+    SweepSpec,
     Trace,
     run_simulation,
+    run_sweep,
 )
 from tcrlab.metrics import METRIC_NAMES
 from tcrlab.params import AnalysisSigmaStake, ProtocolStake, SimParams
@@ -34,6 +36,7 @@ from tcrlab.serialize import (
     stake_policy_to_dict,
     write_aggregate_csv,
     write_aggregate_json,
+    write_summary_json,
     write_trace_csv,
 )
 
@@ -184,7 +187,7 @@ COLUMNS = {"all-nan": ALL_NAN, "last-nan": LAST_NAN, "edges": EDGE_ROWS,
            "empty": np.empty((0, len(METRIC_NAMES)))}
 # A 4-voter roster at p_informed 0 has no informed voters: its two informed
 # wealth columns are NaN in every round.
-EMPTY_CLASS = run_simulation(RunConfig(SimParams(num_items=6, num_voters=4, p_informed=0.0), 1))
+EMPTY_CLASS = run_simulation(SimParams(num_items=6, num_voters=4, p_informed=0.0), 1)
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +214,7 @@ def test_writers_match_the_stdlib_references(out, agg):
 @settings(max_examples=30, deadline=None)
 @given(trace=traces())
 @example(trace=EMPTY_CLASS)
-@example(trace=run_simulation(RunConfig(SimParams(num_items=0), 1)))
+@example(trace=run_simulation(SimParams(num_items=0), 1))
 def test_trace_writer_matches_the_stdlib_reference(out, trace):
     same_bytes(out, write_trace_csv, reference_trace, trace)
 
@@ -221,3 +224,27 @@ def test_edge_columns_match_the_references(out, column):
     same_bytes(out, write_aggregate_json, reference_json, one_cell(column))
     same_bytes(out, write_aggregate_csv, reference_csv, one_cell(column))
     same_bytes(out, write_trace_csv, reference_trace, trace_of(column, column[:, 0]))
+
+
+def test_a_float32_grid_writes_the_bytes_of_its_float_twin(out):
+    """numpy params are stored as Python numbers, so a run computes in float64:
+    1 + a float32 rate is no longer a float32, which overflowed in a cast and
+    broke the inflation check against the float64 rate column."""
+    rates = (np.float32(0.0), np.float32(0.05))
+    for name, values in (("f32", rates), ("f64", tuple(map(float, rates)))):
+        spec = SweepSpec(grid=(("inflation_rate", values),), replications=2,
+                         base_params=SimParams(num_voters=20, num_items=10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            agg = run_sweep(spec)
+        write_aggregate_csv(out / f"{name}.csv", agg)
+        write_aggregate_json(out / f"{name}.json", agg)
+    for ext in ("csv", "json"):
+        assert (out / f"f32.{ext}").read_bytes() == (out / f"f64.{ext}").read_bytes(), ext
+
+
+def test_an_int64_run_writes_the_summary_of_its_int_twin(out):
+    for name, n in (("i64", np.int64(10)), ("int", 10)):
+        params = SimParams(num_voters=n, num_items=n)
+        write_summary_json(out / f"{name}.json", params, 3, run_simulation(params, 3))
+    assert (out / "i64.json").read_bytes() == (out / "int.json").read_bytes()
