@@ -50,6 +50,10 @@ CASES = [
     ("summary_seed42.json", None, ["simulate", "--seed", "42"], "summary.json"),
     ("trace_small_seed3.csv", SMALL, ["simulate", "{config}", "--seed", "3"], "trace.csv"),
     ("summary_small_seed3.json", SMALL, ["simulate", "{config}", "--seed", "3"], "summary.json"),
+    # The default closed-form check: its errors go through the sigma stake's round path.
+    ("validation_default.json", None, ["validate"], "validation.json"),
+    ("chart_seed42_wealth.svg", None,
+     ["plot", str(DATA / "trace_seed42.csv"), "--metric", "wealth"], "chart.svg"),
 ]
 # Each sweep at one job and on a pool of two, whose workers reduce and
 # render their cells: both must give the golden bytes.
@@ -74,5 +78,9 @@ def test_output_matches_golden_file(tmp_path, monkeypatch, fixture, config, argv
         cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     argv = [str(cfg) if a == "{config}" else a for a in argv]
-    assert main([*argv, "--out", str(out)]) == 0
-    assert (out / artifact).read_bytes() == (DATA / fixture).read_bytes()
+    written = out / artifact
+    # plot's --out names the chart; every other command's, a directory for its artifacts
+    if argv[0] == "plot":
+        out.mkdir()
+    assert main([*argv, "--out", str(written if argv[0] == "plot" else out)]) == 0
+    assert written.read_bytes() == (DATA / fixture).read_bytes()
