@@ -39,7 +39,7 @@ from .protocol import (
     init_registry,
     run_round,
 )
-from .voters import ReadAhead, RngStream, sample_rosters
+from .voters import ReadAhead, RngStream, RowDraws, sample_rosters
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -101,26 +101,25 @@ def _advance(state: TcrState, rngs: list[RngStream]) -> Trace:
     last, partial ring is checked here. The rows are computed once, at the
     end.
 
-    A block of at least READ_AHEAD_ROWS replications and at most
-    READ_AHEAD_VOTERS voters, where two or more of its rounds fit
-    READ_AHEAD_SLOTS, draws its streams ahead through a ``ReadAhead``; when
-    the run ends, each stream is rewound by the draws its row did not read,
-    so the streams end where one call per draw vector leaves them.
+    The rounds read ``state.draws``: a ``ReadAhead`` for a block of at least
+    READ_AHEAD_ROWS replications and at most READ_AHEAD_VOTERS voters where
+    two or more of its rounds fit READ_AHEAD_SLOTS, else a ``RowDraws``. It
+    is closed when the run ends, so the streams end where one call per draw
+    vector leaves them.
     """
     replications, rounds = len(rngs), state.num_items
     depth = max(1, min(rounds, HISTORY_SLOTS // state.balances.size))
     h = state.history = History(depth, rounds, *state.balances.shape)
     n = state.num_voters
     ahead = min(rounds, READ_AHEAD_SLOTS // (replications * (2 * n + 1)))
-    if replications >= READ_AHEAD_ROWS and n <= READ_AHEAD_VOTERS and ahead >= 2:
-        state.read_ahead = ReadAhead(rngs, n, rounds, ahead)
+    read_ahead = replications >= READ_AHEAD_ROWS and n <= READ_AHEAD_VOTERS and ahead >= 2
+    state.draws = ReadAhead(rngs, n, rounds, ahead) if read_ahead else RowDraws(rngs, n)
     with np.errstate(over="ignore", invalid="ignore"):  # check_rounds checks every row
         for _ in range(rounds):
             run_round(state, rngs)
         check_rounds(state, rngs)
-    if state.read_ahead is not None:
-        state.read_ahead.close()
-        state.read_ahead = None
+    state.draws.close()
+    state.draws = None
     columns = {"v_correct": np.cumsum(h.decision_add == h.item_good, axis=0).T,
                **{name: getattr(h, name).T for name in ROUND_COLUMNS[1:]}}
     rows = metric_rows(state.clamp_value[:, None], state.class_sizes[:, None],

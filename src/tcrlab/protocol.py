@@ -12,8 +12,8 @@ an (R, N) array, one row per replication, and a round writes only its
 eligible voters' entries. A block may span cells: its rows share a
 ``block_key`` (num_voters, num_items and the stake policy kind), and every
 other parameter is a per-row column. Each replication keeps its own stream,
-drawn in the order ``voters.py`` fixes, whether a round calls it or reads
-the block's ``ReadAhead`` buffer. Every per-replication sum runs over
+drawn in the order ``voters.py`` fixes: the round reads ``state.draws``,
+one of the two draw sources there. Every per-replication sum runs over
 the same elements in the same order as a sum over that replication alone,
 and each per-row column feeds the same operation a scalar parameter would,
 so a replication's output does not depend on the block it runs in.
@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .params import AnalysisSigmaStake, ConfigurationError, SimParams
-from .voters import CLASSES, RngStream
+from .voters import CLASSES, RngStream, RowDraws
 
 REL_TOL = 1e-9
 _UE = CLASSES.index("UE")
@@ -111,10 +111,9 @@ class TcrState:
     holds one round unless a caller replaces the history with a deeper one,
     so by default every round is checked as it ends.
 
-    Rounds call each row's stream for their draws, unless ``read_ahead``
-    holds a ``voters.ReadAhead`` over the same streams, which a caller sets
-    for a whole run and closes when it ends (``harness._advance`` does so
-    for tall, narrow blocks).
+    Rounds read ``draws``, a ``voters.RowDraws`` or ``ReadAhead`` over the
+    rows' streams that a caller sets for a whole run and closes at its end
+    (``harness._advance`` does); while it is None, a round makes its own.
     """
 
     def __init__(self, params: Sequence[SimParams], is_engaged: np.ndarray,
@@ -157,12 +156,7 @@ class TcrState:
              np.where(is_engaged, vote_engaged[:, None], vote_disengaged[:, None])), axis=1)
         self.p_correct = np.where(is_informed, correct_informed[:, None],
                                   correct_uninformed[:, None])
-        self.read_ahead = None
-        # Buffers a round draws into from each row's stream: the item and
-        # participation draws row by row, and each row's vote draws end to end.
-        self._draws = np.empty((rows, n + 1))
-        self._draw_rows = list(self._draws)
-        self._votes = np.empty(rows * n)
+        self.draws = None
         self._vote_grid = np.zeros((rows, n))
 
     def class_tokens(self, rounds: int) -> np.ndarray:
@@ -258,11 +252,9 @@ def required_stake(state: TcrState, total: np.ndarray) -> np.ndarray:
 def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     """Draw and execute one round in every replication; mutates state.
 
-    ``rngs[r]`` is row r's stream. Draws follow the contract in
-    ``voters.py``: the item and one participation draw per voter in one
-    call, then one vote draw per eligible voter in voter-id order; when
-    ``state.read_ahead`` is set, the round reads the same values from its
-    buffer, every row at once, instead of calling the streams.
+    ``rngs[r]`` is row r's stream. Every draw is read from ``state.draws``,
+    or from a ``voters.RowDraws`` over ``rngs`` for this round alone while
+    it is None, in the order the contract in ``voters.py`` fixes.
     Settlement and inflation write only the eligible voters' balances, at
     the flat indices the vote draws are placed at: each is gathered once,
     settled and scattered back, and after the post-settlement and
@@ -279,35 +271,21 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     h = state.history
     s = state.round_index
     bal = state.balances
-    n = state.num_voters
     pre_settle_total = np.add.reduce(bal, axis=1, out=h.pre_settle[s])
     stake = required_stake(state, pre_settle_total)
     h.stake[s] = stake
-    reader = state.read_ahead
-    if reader is None:
-        for rng, draws in zip(rngs, state._draw_rows):
-            rng.uniform(n + 1, draws)
-        draws = state._draws
-    else:
-        draws = reader.items()
-    below = draws < state.draw_cutoffs
+    draws = state.draws
+    if draws is None:
+        draws = RowDraws(rngs, state.num_voters)
+    below = draws.items() < state.draw_cutoffs
     item_good, intends = below[:, 0], below[:, 1:]
     h.item_good[s] = item_good
     np.add.reduce(intends, axis=1, out=h.n_intends[s])
     eligible = intends & (bal >= (stake * (1.0 - REL_TOL))[:, None])
     n_eligible = np.add.reduce(eligible, axis=1, out=h.n_eligible[s])
-    # Each row's vote draws, end to end, then placed at its eligible voters'
-    # flat indices, in row-major (voter-id) order.
-    if reader is None:
-        votes, start = state._votes, 0
-        for rng, stop in zip(rngs, n_eligible.cumsum().tolist()):
-            rng.uniform(stop - start, votes[start:stop])
-            start = stop
-        votes = votes[:start]
-    else:
-        votes = reader.votes(n_eligible)
+    # Each row's vote draws, end to end, go to its eligible voters' flat indices.
     idx = eligible.ravel().nonzero()[0]
-    state._vote_grid.ravel()[idx] = votes
+    state._vote_grid.ravel()[idx] = draws.votes(n_eligible)
     add = eligible & ((state._vote_grid < state.p_correct) == item_good[:, None])
     n_add = np.add.reduce(add, axis=1, out=h.n_add[s])
     n_reject = n_eligible - n_add

@@ -109,10 +109,7 @@ def params_from_dict(doc: dict) -> SimParams:
     kwargs = dict(doc)
     if "stake_policy" in kwargs:
         kwargs["stake_policy"] = stake_policy_from_dict(kwargs["stake_policy"])
-    try:
-        return SimParams(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return SimParams(**kwargs)
 
 
 def params_from_file(path: str | Path) -> SimParams:

@@ -10,10 +10,10 @@ one draw for the item's polarity, one participation draw per voter in
 voter-id order, and finally one vote draw per *eligible* participant in
 voter-id order. The item and participation draws are taken as one vector
 of N + 1; draws split over several calls, or written into a buffer, yield
-the same numbers as one call. A block may also draw a stream ahead, past
-the round it runs (``ReadAhead``), and rewind it by the draws it did not
-use when the run ends: each value a run consumes, and the position the
-stream ends at, are the same as with one call per draw vector.
+the same numbers as one call. A round reads them from ``RowDraws``, one
+call per draw vector, or ``ReadAhead``, which draws ahead and at the end
+rewinds each stream by the draws its row did not use: each value a run
+consumes, and where its stream ends, are the same from either.
 """
 
 from __future__ import annotations
@@ -62,6 +62,32 @@ class RngStream:
     def rewind(self, k: int) -> None:
         """Step the stream back k draws: each draw takes one 64-bit output of PCG64."""
         self._gen.bit_generator.advance(-k)
+
+
+class RowDraws:
+    """The streams of a block's R rows, each called once per draw vector of a round."""
+
+    def __init__(self, rngs: list[RngStream], n: int):
+        self._rngs = rngs
+        self._items = np.empty((len(rngs), n + 1))
+        self._votes = np.empty(len(rngs) * n)
+
+    def items(self) -> np.ndarray:
+        """(R, N + 1): each row's item and participation draws for the next round."""
+        for rng, row in zip(self._rngs, self._items):
+            rng.uniform(len(row), row)
+        return self._items
+
+    def votes(self, n_eligible: np.ndarray) -> np.ndarray:
+        """Each row's next ``n_eligible[r]`` draws, row after row."""
+        start = 0
+        for rng, stop in zip(self._rngs, n_eligible.cumsum().tolist()):
+            rng.uniform(stop - start, self._votes[start:stop])
+            start = stop
+        return self._votes[:start]
+
+    def close(self) -> None:
+        """Nothing was drawn ahead, so nothing is rewound."""
 
 
 class ReadAhead:

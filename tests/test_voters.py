@@ -5,7 +5,7 @@ import pytest
 
 from tcrlab.params import SimParams
 from tcrlab.protocol import init_registry, run_round
-from tcrlab.voters import RngStream, sample_rosters
+from tcrlab.voters import ReadAhead, RngStream, RowDraws, sample_rosters
 
 
 def one_round(roster, seed=0, **kwargs):
@@ -74,6 +74,38 @@ class TestBlockStreams:
     def test_a_block_of_one_and_a_python_list(self):
         assert (RngStream.block([2**40 + 3])[0].uniform(3).tobytes()
                 == RngStream(2**40 + 3).uniform(3).tobytes())
+
+
+class TestDrawSources:
+    def test_row_draws_and_read_ahead_give_the_same_draws(self):
+        """Both sources over twin streams: 3 rows of 6 voters for 7 rounds,
+        read ahead 3 rounds at a time, so the last refill holds one round.
+        Each round's eligible counts are scripted, with rows of none, some
+        and all 6 voters. Every items() and votes() array has the same bytes
+        from both, each row's draws are those of its stream read straight
+        through, and after close() both streams sit just past them."""
+        n, rounds, seeds = 6, 7, [5, 2**40 + 1, 2**64 - 1]
+        n_eligible = np.array([[0, 3, 6], [6, 0, 1], [2, 6, 0], [0, 0, 0],
+                               [6, 6, 6], [1, 5, 0], [4, 0, 6]])
+        streams = RngStream.block(seeds), RngStream.block(seeds)
+        sources = RowDraws(streams[0], n), ReadAhead(streams[1], n, rounds, 3)
+        drawn = [[] for _ in seeds]
+        for counts in n_eligible:
+            items, ahead_items = [source.items().copy() for source in sources]
+            assert items.tobytes() == ahead_items.tobytes()
+            votes, ahead_votes = [source.votes(counts).copy() for source in sources]
+            assert votes.tobytes() == ahead_votes.tobytes()
+            for row, row_items, row_votes in zip(drawn, items,
+                                                 np.split(votes, counts.cumsum()[:-1])):
+                row += [row_items, row_votes]
+        for source in sources:
+            source.close()
+        for r, (seed, counts) in enumerate(zip(seeds, n_eligible.T)):
+            fresh = RngStream(seed)
+            replay = fresh.uniform(rounds * (n + 1) + counts.sum())
+            assert np.concatenate(drawn[r]).tobytes() == replay.tobytes(), r
+            after = fresh.uniform(2).tobytes()
+            assert [rngs[r].uniform(2).tobytes() for rngs in streams] == [after, after], r
 
 
 class TestSampleRoster:
