@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 configuration/validation error, 3 I/O or
 worker-process failure (a pool worker of ``sweep --jobs N`` died).
 `validate` additionally exits 1 when the simulator-vs-closed-form errors
-exceed the tolerance.
+exceed the tolerance, printing the worst series, its error and the tolerance.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .harness import run_sweep, run_simulation, validate_against_analysis
 from .params import ConfigurationError, SimParams
 from .serialize import (
     TRACE_COLUMNS,
+    open_output,
     params_from_file,
     sweep_spec_from_file,
     write_aggregate_csv,
@@ -156,7 +157,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     report = validate_against_analysis(params, args.k)
     out = _out_dir(args.out)
     write_validation_json(out / "validation.json", report)
-    return 0 if report.passed else 1
+    if report.passed:
+        return 0
+    worst = max(report.max_rel_error, key=report.max_rel_error.get)
+    print(f"validation failed: {worst} max relative error "
+          f"{report.max_rel_error[worst]!r} exceeds tolerance {report.tolerance!r}",
+          file=sys.stderr)
+    return 1
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
@@ -174,7 +181,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         )
     except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigurationError(f"{args.input}: {exc}") from exc
-    with open(args.out, "w", newline="") as fh:
+    with open_output(args.out) as fh:
         fh.write(svg)
     return 0
 

@@ -13,6 +13,14 @@ cell's, stacked float table and blank its ``nan`` fields;
 sweep renders each cell's text with these two in the process that reduced the
 cell (``harness.run_sweep``), so the aggregate writers only add each cell's
 params and write.
+
+Every writer opens its file with ``open_output``, which rewrites it in place:
+an existing file keeps its inode and is cut to the new length when the
+writer is done, so a rerun does not first truncate the old file to zero
+bytes (ext4 and XFS flush a file truncated that way when it is closed, and
+the next truncate waits for that writeback). A writer that fails leaves
+only the bytes written so far. ``/dev/null``, pipes and other targets that
+are not regular files are written without truncation.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ import csv
 import itertools
 import json
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -147,6 +158,22 @@ def _load_json(path: str | Path):
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
 
 
+# --- file output ------------------------------------------------------------
+
+@contextmanager
+def open_output(path: str | Path):
+    """``path`` opened as ``open(path, "w", newline="")`` would open it, but
+    without truncation: the text is written over the old bytes from the start,
+    and on exit, normal or by exception, a regular file is cut where the
+    writing stopped."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 # --- trace output -----------------------------------------------------------
 
 def write_trace_csv(path: Path, trace: Trace) -> None:
@@ -155,7 +182,7 @@ def write_trace_csv(path: Path, trace: Trace) -> None:
                              c["n_intends"] - c["n_eligible"], c["n_add"],
                              c["n_eligible"] - c["n_add"], trace.rows))
     rows = "".join(map(_TRACE_ROWS.__getitem__, (2 * c["item_good"] + c["decision_add"]).tolist()))
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         fh.write(_blank_nans(rows % tuple(table.ravel().tolist())))
 
@@ -184,7 +211,7 @@ def write_summary_json(path: Path, params: SimParams, seed: int, trace: Trace) -
 
 def write_aggregate_csv(path: Path, agg: AggregateStats) -> None:
     param_names = sorted({name for cell in agg.cells for name in cell.params})
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         # Each row's newline leads it, so the cell's prefix follows every newline.
         fh.write(_csv_line([*param_names, "round", "metric", *STAT_NAMES, "count"])[:-1])
         for cell in agg.cells:
@@ -198,7 +225,7 @@ def write_aggregate_csv(path: Path, agg: AggregateStats) -> None:
 def write_aggregate_json(path: Path, agg: AggregateStats) -> None:
     tail = json.dumps({"metric_names": list(METRIC_NAMES), "replications": agg.replications},
                       indent=2, sort_keys=True)
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         fh.write('{\n  "cells": [')
         for c, cell in enumerate(agg.cells):
             params = json.dumps(_jsonable(cell.params), indent=2, sort_keys=True)
@@ -278,6 +305,6 @@ def _jsonable(params: dict) -> dict:
 
 
 def _dump_json(path: Path, doc) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,8 @@ from tcrlab.harness import (
 from tcrlab.metrics import METRIC_NAMES
 from tcrlab.params import AnalysisSigmaStake, ProtocolStake, SimParams
 from tcrlab.serialize import TRACE_COLUMNS
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_json(path, doc):
@@ -398,6 +401,22 @@ class TestValidate:
         report = json.loads((tmp_path / "validation.json").read_text())
         assert all(e == 0.0 for e in report["max_rel_error"].values())
 
+    def test_errors_above_the_tolerance_exit_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        errors = json.loads((DATA / "validation_default.json").read_text())["max_rel_error"]
+        worst = max(errors, key=errors.get)
+        tolerance = errors[worst] / 2
+        monkeypatch.setattr(harness, "TOLERANCE", tolerance)
+        assert main(["validate", "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "validation.json").read_text())
+        assert report["passed"] is False and report["tolerance"] == tolerance
+        assert capsys.readouterr().err == (f"validation failed: {worst} max relative error "
+                                           f"{errors[worst]!r} exceeds tolerance {tolerance!r}\n")
+
+    def test_an_empty_class_has_no_error(self, tmp_path):
+        assert main(["validate", "--classes", "3,0,2,0", "--out", str(tmp_path)]) == 0
+        errors = json.loads((tmp_path / "validation.json").read_text())["max_rel_error"]
+        assert (errors["t_ue"], errors["t_ud"]) == (0.0, 0.0)
+
 
 class TestPlot:
     @pytest.fixture()
@@ -427,6 +446,21 @@ class TestPlot:
         main(["plot", str(trace_path), "--metric", "tokens", "--out", str(out1)])
         main(["plot", str(trace_path), "--metric", "tokens", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_dev_null_is_written_without_truncation(self):
+        trace = str(DATA / "trace_seed42.csv")
+        assert main(["plot", trace, "--metric", "wealth", "--out", os.devnull]) == 0
+
+    def test_a_fifo_gets_the_whole_chart(self, tmp_path):
+        fifo = tmp_path / "chart.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        trace = str(DATA / "trace_seed42.csv")
+        assert main(["plot", trace, "--metric", "wealth", "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert received == [(DATA / "chart_seed42_wealth.svg").read_bytes()]
 
     def test_unknown_family_exits_2(self, trace_path, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -79,8 +79,11 @@ def test_output_matches_golden_file(tmp_path, monkeypatch, fixture, config, argv
     out = tmp_path / "out"
     argv = [str(cfg) if a == "{config}" else a for a in argv]
     written = out / artifact
+    # Outputs are rewritten in place: a longer old file's tail is cut, and its inode kept.
+    out.mkdir()
+    written.write_bytes(b"\xff" * ((DATA / fixture).stat().st_size + 4096))
+    inode = written.stat().st_ino
     # plot's --out names the chart; every other command's, a directory for its artifacts
-    if argv[0] == "plot":
-        out.mkdir()
     assert main([*argv, "--out", str(written if argv[0] == "plot" else out)]) == 0
     assert written.read_bytes() == (DATA / fixture).read_bytes()
+    assert written.stat().st_ino == inode

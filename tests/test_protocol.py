@@ -476,6 +476,46 @@ class TestRunRound:
         assert state.balances.tolist() == [[100.0] * 10]
 
 
+def test_the_stake_of_the_mean_balance_admits_every_voter_but_no_shortfall():
+    # At t0 0.1 and N 3 the round-0 stake, 0.3 / 3 under a stake of the
+    # initial tokens, rounds 1.4e-17 above every balance: only the relative
+    # slack lets all three vote. A voter 1e-7 short is priced out.
+    everyone = dict(initial_stake=0.1, p_vote_engaged=1.0, p_vote_disengaged=1.0)
+    state = make_state(n=3, initial_tokens=0.1, **everyone)
+    rnd = one_round(state)
+    assert rnd.stake[0] > 0.1
+    assert ids(rnd.eligible[0]) == [0, 1, 2]
+    state = make_state(n=3, initial_tokens=0.1, **everyone)
+    state.balances[0, 2] -= 1e-7
+    assert ids(one_round(state).eligible[0]) == [0, 1]
+
+
+@pytest.mark.parametrize("t0", [100.0, 1e-3], ids=["relative", "floor-of-1"])
+@pytest.mark.parametrize("column,what", [("post_settle", "settlement zero-sum"),
+                                         ("total", "inflation bookkeeping")])
+def test_sums_agree_within_rel_tol(t0, column, what):
+    """check_rounds' sums agree within REL_TOL x max(|expected|, 1): a sum of
+    row 2 in round 1 moved 2 x that off fails, naming the row; 0.5 x passes."""
+    params = [SimParams(num_voters=20, num_items=3, initial_tokens=t0,
+                        initial_stake=t0 / 20, inflation_rate=0.05)] * 3
+    rosters = sample_rosters(params, [RngStream(seed) for seed in range(3)])
+    for factor in (0.5, 2.0):
+        state = init_registry(params, rosters)
+        h = state.history = History(3, 3, *state.balances.shape)
+        rngs = [RngStream(10 + r) for r in range(3)]
+        for _ in range(2):
+            run_round(state, rngs)
+        wanted = (h.pre_settle if column == "post_settle"
+                  else h.post_settle + state.inflation_rate * h.participant_tokens)[1, 2]
+        getattr(h, column)[1, 2] = wanted + factor * protocol.REL_TOL * max(abs(wanted), 1.0)
+        if factor < 1:
+            protocol.check_rounds(state, rngs)
+            continue
+        with pytest.raises(InvariantViolation, match=f"^{what} at round 1 \\(seed 12\\)") as exc:
+            protocol.check_rounds(state, rngs)
+        assert exc.value.row == 2
+
+
 class TestInvariantsFailOnNan:
     def test_nan_balance_raises(self):
         state = make_state(n=4)

@@ -33,6 +33,7 @@ from tcrlab.serialize import (
     aggregate_csv_rows,
     aggregate_json_rounds,
     fmt,
+    open_output,
     stake_policy_to_dict,
     write_aggregate_csv,
     write_aggregate_json,
@@ -248,3 +249,12 @@ def test_an_int64_run_writes_the_summary_of_its_int_twin(out):
         params = SimParams(num_voters=n, num_items=n)
         write_summary_json(out / f"{name}.json", params, 3, run_simulation(params, 3))
     assert (out / "i64.json").read_bytes() == (out / "int.json").read_bytes()
+
+
+def test_a_failed_write_leaves_only_the_bytes_written(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"x" * 10_000)
+    with pytest.raises(RuntimeError), open_output(path) as fh:
+        fh.write("abc")
+        raise RuntimeError
+    assert path.read_bytes() == b"abc"
