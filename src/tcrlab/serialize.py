@@ -18,9 +18,13 @@ Every writer opens its file with ``open_output``, which rewrites it in place:
 an existing file keeps its inode and is cut to the new length when the
 writer is done, so a rerun does not first truncate the old file to zero
 bytes (ext4 and XFS flush a file truncated that way when it is closed, and
-the next truncate waits for that writeback). A writer that fails leaves
-only the bytes written so far. ``/dev/null``, pipes and other targets that
-are not regular files are written without truncation.
+the next truncate waits for that writeback). A writer that raises leaves
+only the bytes written so far. The cut comes last, so a process killed while
+it writes (SIGKILL, SIGTERM's default action, the OOM killer) or a system
+crash can leave the old file's tail after the new bytes; a rewrite also no
+longer gets the flush that ext4's ``auto_da_alloc`` gives a file truncated to
+zero. ``/dev/null``, pipes and other targets that are not regular files are
+written without truncation.
 """
 
 from __future__ import annotations

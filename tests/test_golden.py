@@ -70,8 +70,8 @@ IDS = [fixture + ("-jobs2" if argv[-2:] == ["--jobs", "2"] else "")
        for fixture, _, argv, _ in CASES]
 
 
-@pytest.mark.parametrize("fixture,config,argv,artifact", CASES, ids=IDS)
-def test_output_matches_golden_file(tmp_path, monkeypatch, fixture, config, argv, artifact):
+def _run(tmp_path, monkeypatch, config, argv, artifact) -> Path:
+    """Run one case into ``tmp_path/out`` and return its artifact's path."""
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)  # a pool on one CPU too
     cfg = tmp_path / "config.json"
     if config is not None:
@@ -79,11 +79,26 @@ def test_output_matches_golden_file(tmp_path, monkeypatch, fixture, config, argv
     out = tmp_path / "out"
     argv = [str(cfg) if a == "{config}" else a for a in argv]
     written = out / artifact
-    # Outputs are rewritten in place: a longer old file's tail is cut, and its inode kept.
-    out.mkdir()
-    written.write_bytes(b"\xff" * ((DATA / fixture).stat().st_size + 4096))
-    inode = written.stat().st_ino
     # plot's --out names the chart; every other command's, a directory for its artifacts
+    if argv[0] == "plot":
+        out.mkdir(exist_ok=True)
     assert main([*argv, "--out", str(written if argv[0] == "plot" else out)]) == 0
+    return written
+
+
+@pytest.mark.parametrize("fixture,config,argv,artifact", CASES, ids=IDS)
+def test_output_matches_golden_file(tmp_path, monkeypatch, fixture, config, argv, artifact):
+    written = _run(tmp_path, monkeypatch, config, argv, artifact)
+    assert written.read_bytes() == (DATA / fixture).read_bytes()
+
+
+@pytest.mark.parametrize("fixture,config,argv,artifact", CASES, ids=IDS)
+def test_a_rerun_rewrites_the_golden_file(tmp_path, monkeypatch, fixture, config, argv, artifact):
+    # Outputs are rewritten in place: a longer old file's tail is cut, and its inode kept.
+    old = tmp_path / "out" / artifact
+    old.parent.mkdir()
+    old.write_bytes(b"\xff" * ((DATA / fixture).stat().st_size + 4096))
+    inode = old.stat().st_ino
+    written = _run(tmp_path, monkeypatch, config, argv, artifact)
     assert written.read_bytes() == (DATA / fixture).read_bytes()
     assert written.stat().st_ino == inode
