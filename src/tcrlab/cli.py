@@ -176,9 +176,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         if not rows:
             raise ValueError("empty input")
         series = (_aggregate_series if "metric" in rows[0] else _trace_series)(rows, metrics)
-        svg = render_line_chart(
-            series, title=titles[args.metric], x_label="round", y_label=y_labels[args.metric]
-        )
+        svg = render_line_chart(series, title=titles[args.metric], y_label=y_labels[args.metric])
     except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigurationError(f"{args.input}: {exc}") from exc
     with open_output(args.out) as fh:

@@ -30,16 +30,8 @@ from .analysis import (
 )
 from .metrics import METRIC_NAMES, metric_rows
 from .params import AnalysisSigmaStake, ConfigurationError, SimParams, check_fields, check_seed
-from .protocol import (
-    History,
-    InvariantViolation,
-    TcrState,
-    block_key,
-    check_rounds,
-    init_registry,
-    run_round,
-)
-from .voters import ReadAhead, RngStream, RowDraws, sample_rosters
+from .protocol import InvariantViolation, TcrState, block_key, init_registry, run_round
+from .voters import RngStream, sample_rosters
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -83,43 +75,28 @@ def run_block(params: Sequence[SimParams], seeds: Sequence[int] | np.ndarray) ->
     The params must share a ``block_key``. Every run is set up the same way:
     its stream from ``RngStream.block`` (one hash of all the block's seeds),
     its roster drawn from that stream first by ``sample_rosters``, and its
-    state from ``init_registry``. So each replication's stream, roster and
-    record are those of a one-row block, which is ``run_simulation``.
+    state from ``init_registry``, with that stream. So each replication's
+    stream, roster and record are those of a one-row block, which is
+    ``run_simulation``.
     """
     rngs = RngStream.block(seeds)
-    return _advance(init_registry(params, sample_rosters(params, rngs)), rngs)
+    return _advance(init_registry(params, sample_rosters(params, rngs), rngs))
 
 
-def _advance(state: TcrState, rngs: list[RngStream]) -> Trace:
+def _advance(state: TcrState) -> Trace:
     """Run every round of a block; returns its ``Trace``: the (R, rounds,
     metrics) rows, the (R, rounds) columns of each of ``ROUND_COLUMNS``, views
     of its history, and the (R, 4) class sizes.
 
-    The state's history records the whole run. Its ring holds the balances
-    of as many rounds as fit in HISTORY_SLOTS voter slots (at least one):
-    ``run_round`` checks each full ring and sums its class tokens, and the
-    last, partial ring is checked here. The rows are computed once, at the
-    end.
-
-    The rounds read ``state.draws``: a ``ReadAhead`` for a block of at least
-    READ_AHEAD_ROWS replications and at most READ_AHEAD_VOTERS voters where
-    two or more of its rounds fit READ_AHEAD_SLOTS, else a ``RowDraws``. It
-    is closed when the run ends, so the streams end where one call per draw
-    vector leaves them.
+    The state is built with its streams, ring and draw source; its last
+    round checks and closes (``protocol.run_round``), so the history here
+    records the whole, checked run. The rows are computed once, at the end.
     """
-    replications, rounds = len(rngs), state.num_items
-    depth = max(1, min(rounds, HISTORY_SLOTS // state.balances.size))
-    h = state.history = History(depth, rounds, *state.balances.shape)
-    n = state.num_voters
-    ahead = min(rounds, READ_AHEAD_SLOTS // (replications * (2 * n + 1)))
-    read_ahead = replications >= READ_AHEAD_ROWS and n <= READ_AHEAD_VOTERS and ahead >= 2
-    state.draws = ReadAhead(rngs, n, rounds, ahead) if read_ahead else RowDraws(rngs, n)
+    rounds = state.num_items
     with np.errstate(over="ignore", invalid="ignore"):  # check_rounds checks every row
         for _ in range(rounds):
-            run_round(state, rngs)
-        check_rounds(state, rngs)
-    state.draws.close()
-    state.draws = None
+            run_round(state)
+    h = state.history
     columns = {"v_correct": np.cumsum(h.decision_add == h.item_good, axis=0).T,
                **{name: getattr(h, name).T for name in ROUND_COLUMNS[1:]}}
     rows = metric_rows(state.clamp_value[:, None], state.class_sizes[:, None],
@@ -169,22 +146,6 @@ def derive_seeds(base_seed: int, ranges: Sequence[tuple[int, int, int]]) -> np.n
 # 500-replication cell on two workers into blocks of 163, 163, 163 and 11
 # rows, and ran slower there than 2^15.
 BLOCK_SLOTS = 2**15
-# Voter slots (rounds x replications x voters) of the balances a block keeps
-# between checks and class-token sums: 512 KB of float64. A block within
-# BLOCK_SLOTS has room for at least two rounds; only a replication of more
-# than HISTORY_SLOTS / 2 voters, which runs as a block of its own, has room
-# for one.
-HISTORY_SLOTS = 2**16
-# Draws (replications x draws per replication) a block's read-ahead buffer
-# holds: 2 MB of float64. It bounds how many rounds a block draws ahead, at
-# the worst case of 2N + 1 draws a replication a round. Blocks of at least
-# READ_AHEAD_ROWS replications and at most READ_AHEAD_VOTERS voters, of which
-# two rounds fit, read ahead: that saves about two stream calls a replication
-# a round, and on shorter or wider blocks the buffer's copies and gathers
-# cost more than the calls they save.
-READ_AHEAD_SLOTS = 2**18
-READ_AHEAD_ROWS = 16
-READ_AHEAD_VOTERS = 200
 # Voters of one replication. A block never splits a replication, so a
 # replication wider than BLOCK_SLOTS runs as a block of its own.
 MAX_VOTERS = 2**18
@@ -334,7 +295,7 @@ def _replicate_cells(
     into contiguous lockstep blocks, one per worker, or more when a block
     would exceed BLOCK_SLOTS or MAX_ROW_ROUNDS; a block can span cells. The
     slot bound keeps tall blocks cache-sized, so they read ahead (see
-    ``_advance``); a group cut by it runs as the same blocks at any job
+    ``protocol.TcrState``); a group cut by it runs as the same blocks at any job
     count, and its blocks outnumber the workers, which take them in turn. With
     ``reduce``, a block reduces each cell it holds whole in the process that
     ran it, and returns rows only for the cells it shares with another
@@ -523,7 +484,7 @@ def aggregate_metrics(samples: np.ndarray) -> tuple[dict[str, np.ndarray], np.nd
             stats["min"] = np.nanmin(samples, axis=0)
             stats["max"] = np.nanmax(samples, axis=0)
         # inf - inf in a column's interpolation is NaN, as in np.nanpercentile
-        stats["p5"], stats["p95"] = _nan_percentiles(samples, counts, (5, 95))
+        stats["p5"], stats["p95"] = _nan_percentiles(samples, counts)
     return stats, counts
 
 
@@ -539,8 +500,9 @@ def _reduce_cell(samples: np.ndarray) -> tuple:
     return stats, counts, aggregate_csv_rows(stats, counts), aggregate_json_rounds(stats, counts)
 
 
-def _nan_percentiles(samples: np.ndarray, counts: np.ndarray, q) -> np.ndarray:
-    """``np.nanpercentile(samples, q, axis=0)``, bit for bit up to the sign of a zero.
+def _nan_percentiles(samples: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.nanpercentile(samples, q, axis=0)`` at q = (5, 95), bit for bit up
+    to the sign of a zero.
 
     A column's percentile depends only on its sorted non-NaN values. Sorting
     puts NaNs last, so a column with c values has them in its first c rows,
@@ -562,6 +524,7 @@ def _nan_percentiles(samples: np.ndarray, counts: np.ndarray, q) -> np.ndarray:
     ``test_tied_signed_zeros_keep_their_sign`` in ``tests/test_harness.py``
     pin these bytes.
     """
+    q = (5, 95)  # STAT_NAMES' "p5" and "p95"
     columns = samples.reshape(len(samples), -1)
     ordered = np.sort(columns, axis=0)
     c = counts.reshape(-1)
@@ -666,7 +629,7 @@ def validate_against_analysis(a: AnalysisParams, k_max: int) -> ValidationReport
     # (is_engaged, is_informed), grouped by class: IE, UE, ID, UD.
     roster = np.repeat([(True, True), (True, False), (False, True), (False, False)],
                        [a.n_ie, a.n_ue, a.n_id, a.n_ud], axis=0)
-    rows = _advance(init_registry(params, roster[None]), [RngStream(0)]).rows
+    rows = _advance(init_registry(params, roster[None], [RngStream(0)])).rows
     column = dict(zip(METRIC_NAMES, rows[0].T))
     rounds = range(1, k_max + 1)
     wrong = np.flatnonzero(column["lurp_raw"] != rounds)

@@ -11,28 +11,45 @@ A state holds a block of R replications advanced in lockstep: balances are
 an (R, N) array, one row per replication, and a round writes only its
 eligible voters' entries. A block may span cells: its rows share a
 ``block_key`` (num_voters, num_items and the stake policy kind), and every
-other parameter is a per-row column. Each replication keeps its own stream,
-drawn in the order ``voters.py`` fixes: the round reads ``state.draws``,
-one of the two draw sources there. Every per-replication sum runs over
-the same elements in the same order as a sum over that replication alone,
-and each per-row column feeds the same operation a scalar parameter would,
-so a replication's output does not depend on the block it runs in.
+other parameter is a per-row column. The state is built with its streams,
+ring and draw source; its last round checks and closes. Each replication
+keeps its own stream, drawn in the order ``voters.py`` fixes: the round
+reads ``state.draws``, one of the two draw sources there. Every
+per-replication sum runs over the same elements in the same order as a sum
+over that replication alone, and each per-row column feeds the same
+operation a scalar parameter would, so a replication's output does not
+depend on the block it runs in.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .params import AnalysisSigmaStake, ConfigurationError, SimParams
-from .voters import CLASSES, RngStream, RowDraws
+from .voters import CLASSES, ReadAhead, RngStream, RowDraws
 
 REL_TOL = 1e-9
 _UE = CLASSES.index("UE")
 # Entries a class sum gathers at once; a longer stack of rounds goes in chunks.
 GATHER_SLOTS = 2**13
+# Voter slots (rounds x replications x voters) of the balances a block keeps
+# between checks and class-token sums: 512 KB of float64. A block within
+# ``harness.BLOCK_SLOTS`` has room for at least two rounds; only a
+# replication of more than HISTORY_SLOTS / 2 voters, which runs as a block of
+# its own, has room for one.
+HISTORY_SLOTS = 2**16
+# Draws (replications x draws per replication) a block's read-ahead buffer
+# holds: 2 MB of float64. It bounds how many rounds a block draws ahead, at
+# the worst case of 2N + 1 draws a replication a round. Blocks of at least
+# READ_AHEAD_ROWS replications and at most READ_AHEAD_VOTERS voters, of which
+# two rounds fit, read ahead: that saves about two stream calls a replication
+# a round, and on shorter or wider blocks the buffer's copies and gathers
+# cost more than the calls they save.
+READ_AHEAD_SLOTS = 2**18
+READ_AHEAD_ROWS = 16
+READ_AHEAD_VOTERS = 200
 
 
 class InvariantViolation(RuntimeError):
@@ -104,25 +121,27 @@ class TcrState:
     the history's ring are fixed here; the sigma stake's base sums read the
     0.0 that follows the balances in ``_flat``.
 
-    Each round is recorded in ``history``, which has a row for each of the
-    run's ``num_items`` rounds; its checks run, over every row of every
-    round in one pass, and its class tokens are summed, once per ring of
-    balances: when the ring is full or ``check_rounds`` is called. The ring
-    holds one round unless a caller replaces the history with a deeper one,
-    so by default every round is checked as it ends.
-
-    Rounds read ``draws``, a ``voters.RowDraws`` or ``ReadAhead`` over the
-    rows' streams that a caller sets for a whole run and closes at its end
-    (``harness._advance`` does); while it is None, a round makes its own.
+    The state is built with its streams, ring and draw source; its last
+    round checks and closes. Each round is recorded in ``history``, which
+    has a row for each of the run's ``num_items`` rounds; its checks run,
+    over every row of every round in one pass, and its class tokens are
+    summed, once per ring of balances: when the ring is full, after the
+    last round or when ``check_rounds`` is called. The ring holds as many
+    rounds as fit in HISTORY_SLOTS voter slots (at least one). Rounds read
+    ``draws`` over ``rngs``, the rows' streams: a ``voters.ReadAhead`` for
+    a block of at least READ_AHEAD_ROWS replications and at most
+    READ_AHEAD_VOTERS voters where two or more of its rounds fit
+    READ_AHEAD_SLOTS, else a ``RowDraws``.
     """
 
     def __init__(self, params: Sequence[SimParams], is_engaged: np.ndarray,
-                 is_informed: np.ndarray):
+                 is_informed: np.ndarray, rngs: Sequence[RngStream]):
         if len(set(map(block_key, params))) != 1:
             raise ConfigurationError(
                 "the rows of a block must share num_voters, num_items and the stake policy kind"
             )
         self.params = tuple(params)
+        self.rngs = list(rngs)
         self.num_voters, self.num_items, policy = block_key(params[0])
         self.sigma_stake = policy is AnalysisSigmaStake
         # Derived values such as 1 + delta are computed in Python, row by row,
@@ -141,12 +160,14 @@ class TcrState:
         self.balances = self._flat[:-1].reshape(rows, n)
         self.balances[:] = initial[:, None]
         self.round_index = 0
-        self.history = History(1, self.num_items, rows, n)
+        rounds = self.num_items
+        self.history = History(max(1, min(rounds, HISTORY_SLOTS // (rows * n))), rounds, rows, n)
         # (R, 4, N) in CLASSES order: IE, ID, UE, UD.
         masks = np.stack([is_informed & is_engaged, is_informed & ~is_engaged,
                           ~is_informed & is_engaged, ~is_informed & ~is_engaged], axis=1)
         self._class_masks = masks
         self.class_sizes = masks.sum(axis=2)
+        self._classes = _SegmentSums(masks, *self.history.padded.shape)
         if self.sigma_stake:  # its base: each row's UE voters, or all if it has none
             ue = masks[:, _UE]
             self._stake_base = _SegmentSums((ue | ~ue.any(axis=1, keepdims=True))[:, None])
@@ -156,7 +177,9 @@ class TcrState:
              np.where(is_engaged, vote_engaged[:, None], vote_disengaged[:, None])), axis=1)
         self.p_correct = np.where(is_informed, correct_informed[:, None],
                                   correct_uninformed[:, None])
-        self.draws = None
+        ahead = min(rounds, READ_AHEAD_SLOTS // (rows * (2 * n + 1)))
+        read_ahead = rows >= READ_AHEAD_ROWS and n <= READ_AHEAD_VOTERS and ahead >= 2
+        self.draws = ReadAhead(self.rngs, n, rounds, ahead) if read_ahead else RowDraws(self.rngs, n)
         self._vote_grid = np.zeros((rows, n))
 
     def class_tokens(self, rounds: int) -> np.ndarray:
@@ -165,10 +188,6 @@ class TcrState:
         entry has the bits of ``balances[r][class_mask].sum()`` of its slot."""
         return self._classes.sums(self.history.padded, rounds).reshape(
             rounds, *self.class_sizes.shape)
-
-    @cached_property
-    def _classes(self):
-        return _SegmentSums(self._class_masks, *self.history.padded.shape)
 
 
 def block_key(params: SimParams) -> tuple:
@@ -219,13 +238,15 @@ class _SegmentSums:
         return out
 
 
-def init_registry(params: SimParams | Sequence[SimParams], rosters) -> TcrState:
+def init_registry(params: SimParams | Sequence[SimParams], rosters,
+                  rngs: Sequence[RngStream]) -> TcrState:
     """A fresh block, one replication per roster; every voter starts at the initial balance.
 
     ``rosters`` is (R, N, 2) booleans: (is_engaged, is_informed) per voter,
-    as ``voters.sample_rosters`` returns them. ``params`` is one
-    ``SimParams`` for every row, or one per row, all with the same
-    ``block_key``. The state keeps no reference to the rosters.
+    as ``voters.sample_rosters`` returns them, and ``rngs`` the R rows'
+    streams. ``params`` is one ``SimParams`` for every row, or one per row,
+    all with the same ``block_key``. The state keeps no reference to the
+    rosters; it keeps the streams and draws every round from them.
     """
     rosters = np.asarray(rosters, dtype=bool)
     if isinstance(params, SimParams):
@@ -236,7 +257,9 @@ def init_registry(params: SimParams | Sequence[SimParams], rosters) -> TcrState:
             f"rosters have shape {rosters.shape}, params expect "
             f"({len(params)}, {params[0].num_voters}, 2)"
         )
-    return TcrState(params, rosters[..., 0], rosters[..., 1])
+    if len(rngs) != len(rosters):
+        raise ConfigurationError(f"{len(rngs)} streams given for {len(rosters)} rows")
+    return TcrState(params, rosters[..., 0], rosters[..., 1], rngs)
 
 
 def required_stake(state: TcrState, total: np.ndarray) -> np.ndarray:
@@ -249,21 +272,23 @@ def required_stake(state: TcrState, total: np.ndarray) -> np.ndarray:
     return state.stake_factor * base
 
 
-def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
+def run_round(state: TcrState) -> Round:
     """Draw and execute one round in every replication; mutates state.
 
-    ``rngs[r]`` is row r's stream. Every draw is read from ``state.draws``,
-    or from a ``voters.RowDraws`` over ``rngs`` for this round alone while
-    it is None, in the order the contract in ``voters.py`` fixes.
-    Settlement and inflation write only the eligible voters' balances, at
-    the flat indices the vote draws are placed at: each is gathered once,
-    settled and scattered back, and after the post-settlement and
-    participant-token sums over the full rows, inflated and scattered again.
-    Each row's values reach its entries, which are contiguous, by
-    ``np.repeat`` over the rows' eligible counts; in a one-row block they
-    broadcast. The round is recorded in its row of ``state.history``, and
-    its balances in the ring; when the ring fills, every row of every round
-    in it is checked at once (``check_rounds``). Callers run it under
+    Every draw is read from ``state.draws``, in the order the contract in
+    ``voters.py`` fixes. Settlement and inflation write only the eligible
+    voters' balances, at the flat indices the vote draws are placed at: each
+    is gathered once, settled and scattered back, and after the
+    post-settlement and participant-token sums over the full rows, inflated
+    and scattered again. Each row's values reach its entries, which are
+    contiguous, by ``np.repeat`` over the rows' eligible counts; in a
+    one-row block they broadcast. The round is recorded in its row of
+    ``state.history``, and its balances in the ring; when the ring fills,
+    every row of every round in it is checked at once (``check_rounds``).
+    The state is built with its streams, ring and draw source; its last
+    round checks and closes: it checks the partial ring and closes
+    ``state.draws``, so a block run by hand to its end is the run
+    ``harness.run_block`` makes. Callers run it under
     ``np.errstate(over="ignore", invalid="ignore")``: a row that overflows
     or turns NaN runs on until its ring is checked, which reports the first
     failing round, and the first failing row in it, once.
@@ -275,8 +300,6 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     stake = required_stake(state, pre_settle_total)
     h.stake[s] = stake
     draws = state.draws
-    if draws is None:
-        draws = RowDraws(rngs, state.num_voters)
     below = draws.items() < state.draw_cutoffs
     item_good, intends = below[:, 0], below[:, 1:]
     h.item_good[s] = item_good
@@ -318,14 +341,21 @@ def run_round(state: TcrState, rngs: Sequence[RngStream]) -> Round:
     np.add.reduce(bal, axis=1, out=h.total[s])
     h.balances[s - h.checked] = bal
     state.round_index += 1
-    if state.round_index - h.checked == h.depth:
-        check_rounds(state, rngs)
+    if state.round_index == state.num_items:
+        check_rounds(state)
+        draws.close()
+    elif state.round_index - h.checked == h.depth:
+        check_rounds(state)
     return Round(s, item_good, stake, intends, eligible, add, decision_add, payout,
                  n_eligible, n_add)
 
 
-def check_rounds(state: TcrState, rngs: Sequence[RngStream]) -> None:
+def check_rounds(state: TcrState) -> None:
     """Check the rounds in the history's ring and sum their class tokens; the ring starts over.
+
+    The state is built with its streams, ring and draw source; its last
+    round checks and closes: ``run_round`` calls this when the ring fills
+    and after the last round, and a caller may call it after any round.
 
     Each check is one (rounds, R) array over the ring: settlement is
     zero-sum, the supply is finite, it grew by the inflation rate times the
@@ -356,7 +386,7 @@ def check_rounds(state: TcrState, rngs: Sequence[RngStream]) -> None:
                         lowest >= -REL_TOL * np.fmax(h.stake[lo:hi], 1.0)])
     if failed.any():
         s, r = np.argwhere(failed.any(axis=0))[0].tolist()
-        where = f"round {lo + s} (seed {rngs[r].seed})"
+        where = f"round {lo + s} (seed {state.rngs[r].seed})"
         check = failed[:, s, r].argmax()
         if check == 1:
             raise ConfigurationError(

@@ -15,6 +15,8 @@ MARGIN_LEFT = 70
 MARGIN_RIGHT = 160  # room for the legend
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 50
+TICKS = 5  # per axis, both ends included
+X_LABEL = "round"
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -22,7 +24,6 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 def render_line_chart(
     series: list[tuple[str, list[tuple[float, float]]]],
     title: str,
-    x_label: str,
     y_label: str,
 ) -> str:
     """Render labeled series as one SVG line chart; NaN points are skipped.
@@ -81,7 +82,7 @@ def render_line_chart(
         )
     parts.append(
         f'<text x="{x0 + plot_w / 2:.2f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_esc(x_label)}</text>'
+        f'font-family="sans-serif" font-size="13">{_esc(X_LABEL)}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.2f}" text-anchor="middle" '
@@ -125,9 +126,9 @@ def _bounds(values: list[float]) -> tuple[float, float]:
     return lo, hi
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / (TICKS - 1)
+    return [lo + i * step for i in range(TICKS)]
 
 
 def _fmt(v: float) -> str:

@@ -5,12 +5,15 @@ source tree with ``PYTHONPATH=src``, or an installed package):
 
     python tests/pool_imports.py
 
-It runs ``simulate``, ``plot`` and ``validate`` through ``cli.main`` and a
+It first checks that importing ``tcrlab.harness`` and ``tcrlab.cli`` loads
+no ``numpy.random``, which a run loads with its first stream: importing it
+costs a fresh process several MB and milliseconds. Then it runs
+``simulate``, ``plot`` and ``validate`` through ``cli.main`` and a
 ``jobs=1`` sweep, and checks that tcrlab loaded none of POOL_MODULES; then
 that a ``jobs=2`` replicate loads them and matches ``jobs=1`` byte for byte.
 It exits nonzero with one message line when a check fails. numpy is imported
-first and what it loads does not count, so the check holds on a numpy that
-imports ``multiprocessing`` itself.
+first and what it loads does not count, so the checks hold on a numpy that
+imports ``numpy.random`` or ``multiprocessing`` itself.
 """
 
 import sys
@@ -32,9 +35,11 @@ def check(ok: bool, message: str) -> None:
         sys.exit(f"pool_imports: {message}")
 
 
-def loaded() -> list[str]:
-    return [name for name in POOL_MODULES if name in sys.modules and name not in before]
+def loaded(modules=POOL_MODULES) -> list[str]:
+    return [name for name in modules if name in sys.modules and name not in before]
 
+
+check(not loaded(["numpy.random"]), "importing tcrlab.harness and tcrlab.cli loaded numpy.random")
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp)

@@ -359,10 +359,10 @@ def test_criterion_10_degenerate_reductions():
     # A supplied roster consumes no draws, so the rounds draw from the
     # stream's start, as a run seeded 55 with this roster would.
     rng = RngStream(55)
-    state = init_registry(params, [roster])
+    state = init_registry(params, [roster], [rng])
     ok = True
     for _ in range(params.num_items):
-        rnd = run_round(state, [rng])
+        rnd = run_round(state)
         add, reject = rnd.add[0], rnd.eligible[0] & ~rnd.add[0]
         # engaged always intend to vote, disengaged never do
         ok = ok and np.array_equal(rnd.intends[0], engaged)

@@ -46,6 +46,10 @@ class TestDisengaged:
         p = AnalysisParams(t0=t0, sigma=0.05, delta=0.02, n_ie=3, n_ue=2, n_id=1, n_ud=1)
         assert tokens_disengaged(p, k) == t0
 
+    def test_negative_round_rejected(self):
+        with pytest.raises(ValueError):
+            tokens_disengaged(BASE, -1)
+
 
 class TestUninformedEngaged:
     def test_one_round(self):

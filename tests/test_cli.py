@@ -164,6 +164,25 @@ def test_non_finite_input_exits_2_with_one_line(tmp_path, capsys, config, argv):
          "jobs must be >= 1, got 0\n"),
         ('{"grid": {"p_informed": [0.5]}, "replications": 1}',
          ["sweep", "{config}", "--jobs", "-3"], "jobs must be >= 1, got -3\n"),
+        (None, ["validate", "--t0", "0"], "t0 must be > 0"),
+        (None, ["validate", "--delta", "-0.1"], "delta must be >= 0"),
+        (None, ["validate", "--classes", "30,20,-1,20"], "class counts must be non-negative"),
+        ('{"num_items": -1}', ["simulate", "{config}"], "num_items must be >= 0"),
+        ('{"stake_policy": {"kind": "protocol", "x": 1}}', ["simulate", "{config}"],
+         "unknown stake_policy keys: ['x']"),
+        ('{"stake_policy": {"kind": "analysis_sigma"}}', ["simulate", "{config}"],
+         "requires 'sigma'"),
+        ('{"stake_policy": {"kind": "nope"}}', ["simulate", "{config}"],
+         "unknown stake_policy kind 'nope'"),
+        ('{"num_items": ', ["simulate", "{config}"], "invalid JSON"),
+        ('{"grid": {"p_informed": []}, "replications": 1}', ["sweep", "{config}"],
+         "no values given for sweep parameter"),
+        ('{"grid": {"p_informed": [0.5]}, "replications": 0}', ["sweep", "{config}"],
+         "replications must be >= 1"),
+        ("round,metric,std\n0,lurp_raw,1\n", ["plot", "{config}", "--metric", "value"],
+         "missing aggregate columns"),
+        ("round,metric,mean\n0,lurp_raw,1\n", ["plot", "{config}", "--metric", "wealth"],
+         "metric 'wealth_IE' not present"),
     ],
 )
 @pytest.mark.filterwarnings("error")

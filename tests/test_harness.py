@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import tcrlab
-from tcrlab import cli, harness
+from tcrlab import cli, harness, protocol
 from tcrlab.analysis import AnalysisParams
 from tcrlab.harness import (
     METRIC_NAMES,
@@ -31,13 +31,14 @@ from tcrlab.harness import (
     validate_against_analysis,
 )
 from tcrlab.params import AnalysisSigmaStake, ConfigurationError, ProtocolStake, SimParams
-from tcrlab.protocol import InvariantViolation
+from tcrlab.metrics import metric_rows
+from tcrlab.protocol import InvariantViolation, init_registry, run_round
 from tcrlab.serialize import (
     aggregate_csv_rows,
     aggregate_json_rounds,
     write_aggregate_json,
 )
-from tcrlab.voters import ReadAhead, RngStream
+from tcrlab.voters import ReadAhead, RngStream, RowDraws, sample_rosters
 
 IDX = {name: i for i, name in enumerate(METRIC_NAMES)}
 # The benchmark's reference engine, whose scalar SplitMix64 seed derivation is
@@ -244,13 +245,12 @@ class TestReplicate:
             assert a.tobytes() == b.tobytes()
 
     def test_invariant_violation_names_cell_replication_and_seed(self, monkeypatch):
-        run_round = harness.run_round
         for replications, row in ((4, 2), (20, 17)):  # the 20-row block reads ahead
 
-            def corrupt_row_at_round_3(state, rngs, row=row):
+            def corrupt_row_at_round_3(state, row=row):
                 if state.round_index == 3:
                     state.balances[row, 0] = np.nan
-                return run_round(state, rngs)
+                return run_round(state)
 
             monkeypatch.setattr(harness, "run_round", corrupt_row_at_round_3)
             with pytest.raises(InvariantViolation) as exc:
@@ -434,10 +434,10 @@ class TestBatchingInvariance:
             run_simulation(params, derive_seed(9, 3, rep)).rows
             for rep in range(replications)
         ])
-        blocks_read_ahead = replications >= harness.READ_AHEAD_ROWS
+        blocks_read_ahead = replications >= protocol.READ_AHEAD_ROWS
         for ahead in (None, 2, 3) if blocks_read_ahead else (None,):
             if ahead:
-                monkeypatch.setattr(harness, "READ_AHEAD_SLOTS",
+                monkeypatch.setattr(protocol, "READ_AHEAD_SLOTS",
                                     ahead * 40 * (2 * params.num_voters + 1))
             for jobs in (1, 2):
                 got = replicate(params, replications, base_seed=9, cell_index=3, jobs=jobs)
@@ -452,7 +452,9 @@ class TestBatchingInvariance:
         its streams ahead, refilling every 3 of its 13 rounds, and a 4-row
         block calls them round by round; either leaves each stream where its
         row's draws end: the roster's 2N, then N + 1 and one per eligible
-        voter each round."""
+        voter each round. The same block, built as ``run_block`` builds it
+        and driven by hand with ``run_round`` to its last round, gives the
+        same record and leaves its streams in the same place."""
         cells = [SimParams(num_voters=10, num_items=13, initial_stake=stake,
                            inflation_rate=delta, p_informed=p_informed, clamp_value=clamp)
                  for stake, delta, p_informed, clamp in ((40.0, 0.05, 0.6, True),
@@ -461,9 +463,9 @@ class TestBatchingInvariance:
         params = [cells[r % len(cells)] for r in range(replications)]
         seeds = list(range(replications))
         n = cells[0].num_voters
-        monkeypatch.setattr(harness, "READ_AHEAD_SLOTS", 3 * 20 * (2 * n + 1))
+        monkeypatch.setattr(protocol, "READ_AHEAD_SLOTS", 3 * 20 * (2 * n + 1))
         readers = []
-        monkeypatch.setattr(harness, "ReadAhead",
+        monkeypatch.setattr(protocol, "ReadAhead",
                             lambda *args: readers.append(args) or ReadAhead(*args))
         blocks = []
         block_streams = RngStream.block
@@ -474,7 +476,23 @@ class TestBatchingInvariance:
         assert block.rows.shape == (replications, 13, len(METRIC_NAMES))
         assert block.class_sizes.shape == (replications, 4)
         assert sorted(block.rounds) == sorted(ROUND_COLUMNS)
-        for seed, (p, rng) in enumerate(zip(params, blocks[0])):
+        rngs = RngStream.block(seeds)
+        state = init_registry(params, sample_rosters(params, rngs), rngs)
+        assert type(state.draws) is (ReadAhead if replications == 20 else RowDraws)
+        for _ in range(13):
+            run_round(state)
+        h = state.history
+        assert h.checked == 13
+        by_hand = {"v_correct": np.cumsum(h.decision_add == h.item_good, axis=0).T,
+                   **{name: getattr(h, name).T for name in ROUND_COLUMNS[1:]}}
+        rows = metric_rows(state.clamp_value[:, None], state.class_sizes[:, None],
+                           by_hand["v_correct"], np.arange(1, 14), by_hand["total"],
+                           h.tokens.swapaxes(0, 1))
+        assert rows.tobytes() == block.rows.tobytes()
+        for name in ROUND_COLUMNS:
+            assert by_hand[name].tobytes() == block.rounds[name].tobytes(), name
+        assert state.class_sizes.tobytes() == block.class_sizes.tobytes()
+        for seed, (p, rng, hand_rng) in enumerate(zip(params, blocks[0], rngs)):
             alone = run_simulation(p, seed)
             assert block.rows[seed].tobytes() == alone.rows.tobytes(), seed
             for name in ROUND_COLUMNS:
@@ -482,7 +500,8 @@ class TestBatchingInvariance:
             assert block.class_sizes[seed].tobytes() == alone.class_sizes.tobytes(), seed
             fresh = RngStream(seed)
             fresh.uniform(2 * n + int((n + 1 + alone.rounds["n_eligible"]).sum()))
-            assert rng.uniform(1) == fresh.uniform(1), seed
+            after = fresh.uniform(1)
+            assert rng.uniform(1) == after and hand_rng.uniform(1) == after, seed
 
     @pytest.mark.parametrize("slots", [1, 7 * 3 * 40, 50 * 3 * 40])
     def test_chunked_class_sums_match_an_unchunked_run(self, monkeypatch, slots):
@@ -490,10 +509,10 @@ class TestBatchingInvariance:
         single run (each with a part-filled last stack), and of every round
         give the same bytes, and the single run the same round columns."""
         params = SimParams(num_voters=40, num_items=50, stake_policy=AnalysisSigmaStake(0.1))
-        monkeypatch.setattr(harness, "HISTORY_SLOTS", 2**40)
+        monkeypatch.setattr(protocol, "HISTORY_SLOTS", 2**40)
         expected = replicate(params, 3, base_seed=4)
         trace = run_simulation(params, 8)
-        monkeypatch.setattr(harness, "HISTORY_SLOTS", slots)
+        monkeypatch.setattr(protocol, "HISTORY_SLOTS", slots)
         assert replicate(params, 3, base_seed=4).tobytes() == expected.tobytes()
         chunked = run_simulation(params, 8)
         assert chunked.rows.tobytes() == trace.rows.tobytes()
@@ -647,12 +666,10 @@ class TestCellSpanningBlocks:
         assert samples.tobytes() == replicate(params, 4, 3).tobytes()
 
     def test_invariant_violation_names_the_second_cell_of_a_block(self, monkeypatch):
-        run_round = harness.run_round
-
-        def corrupt_row_5_at_round_3(state, rngs):
+        def corrupt_row_5_at_round_3(state):
             if state.round_index == 3:
                 state.balances[5, 0] = np.nan
-            return run_round(state, rngs)
+            return run_round(state)
 
         monkeypatch.setattr(harness, "run_round", corrupt_row_5_at_round_3)
         spec = SweepSpec(grid=(("p_informed", (0.1, 0.9)),), replications=4, base_seed=8,
@@ -681,17 +698,16 @@ class TestStackedChecks:
     def first_failure(self, monkeypatch, slots, faults, params=PARAMS):
         """Type and message of what replications 0-3 of cell 1 raise with
         ``faults[k](balances)`` applied before round k; and the history depth."""
-        run_round = harness.run_round
         depths = set()
 
-        def faulty_run_round(state, rngs):
+        def faulty_run_round(state):
             depths.add(state.history.depth)
             if state.round_index in faults:
                 faults[state.round_index](state.balances)
-            return run_round(state, rngs)
+            return run_round(state)
 
         monkeypatch.setattr(harness, "run_round", faulty_run_round)
-        monkeypatch.setattr(harness, "HISTORY_SLOTS", slots)
+        monkeypatch.setattr(protocol, "HISTORY_SLOTS", slots)
         with pytest.raises((InvariantViolation, ConfigurationError)) as exc:
             replicate(params, 4, base_seed=8, cell_index=1)
         return (type(exc.value), str(exc.value)), depths

@@ -5,7 +5,7 @@ import pytest
 
 from tcrlab.metrics import METRIC_NAMES, class_wealth, lurp, metric_rows
 from tcrlab.params import SimParams
-from tcrlab.protocol import init_registry, run_round
+from tcrlab.protocol import check_rounds, init_registry, run_round
 from tcrlab.voters import CLASSES, RngStream
 
 TOKENS = [f"tokens_{cls}" for cls in CLASSES]
@@ -63,7 +63,7 @@ class TestClassWealth:
 def mixed_state(**kwargs):
     params = SimParams(num_voters=4, **kwargs)
     roster = [(True, True), (False, True), (True, False), (False, False)]
-    return init_registry(params, [roster])
+    return init_registry(params, [roster], [RngStream(0)])
 
 
 class TestSnapshot:
@@ -90,7 +90,8 @@ class TestSnapshot:
             inflation_rate=0.02, p_vote_engaged=1.0, p_vote_disengaged=1.0,
             p_correct_informed=1.0, p_correct_uninformed=1.0, p_item_good=1.0,
         )
-        run_round(state, [RngStream(0)])
+        run_round(state)
+        check_rounds(state)
         row = named(snapshot(state))
         # unanimous settlement is neutral; inflation adds 2% of participant tokens
         assert row["t_total"] == pytest.approx(400.0 + 0.02 * 400.0, rel=1e-9)
@@ -122,7 +123,8 @@ class TestSnapshot:
         # Row 1 holds the mixed roster, row 0 one with only engaged voters.
         params = SimParams(num_voters=4)
         state = init_registry(params, [[(True, True), (True, True), (True, False), (True, False)],
-                                       [(True, True), (False, True), (True, False), (False, False)]])
+                                       [(True, True), (False, True), (True, False), (False, False)]],
+                              [RngStream(0), RngStream(1)])
         state.balances[1] = [10.0, 20.0, 30.0, 40.0]
         state.round_index = 5
         rows = snapshot(state, np.array([2, 5]))

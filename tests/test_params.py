@@ -47,6 +47,7 @@ def test_defaults_are_valid():
         {"initial_tokens": Fraction(10**400)},
         {"initial_tokens": np.float32("inf")},
         {"clamp_value": 1},
+        {"stake_policy": object()},
     ],
 )
 def test_invalid_params_rejected(kwargs):

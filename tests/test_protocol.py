@@ -3,9 +3,9 @@ import pytest
 
 from tcrlab import protocol
 from tcrlab.params import AnalysisSigmaStake, ConfigurationError, SimParams
-from tcrlab.protocol import (GATHER_SLOTS, History, InvariantViolation, init_registry,
+from tcrlab.protocol import (GATHER_SLOTS, InvariantViolation, check_rounds, init_registry,
                              required_stake, run_round)
-from tcrlab.voters import RngStream, sample_rosters
+from tcrlab.voters import ReadAhead, RngStream, RowDraws, sample_rosters
 
 # Engaged voters always intend and disengaged never do; informed voters are
 # always correct and uninformed always wrong; every item is good. A round's
@@ -17,15 +17,22 @@ SURE = dict(p_vote_engaged=1.0, p_vote_disengaged=0.0, p_correct_informed=1.0,
 ADD, REJ, OUT = (True, True), (True, False), (False, True)
 
 
-def make_state(n=100, initial_tokens=100.0, roster=None, **kwargs):
-    """A one-replication block."""
+def streams(rows, first=0):
+    """Streams seeded first, first + 1, ... for a block of ``rows`` rows."""
+    return [RngStream(first + r) for r in range(rows)]
+
+
+def make_state(n=100, initial_tokens=100.0, roster=None, seed=0, **kwargs):
+    """A one-replication block whose stream is seeded ``seed``."""
     params = SimParams(num_voters=n, initial_tokens=initial_tokens, **kwargs)
-    return init_registry(params, [roster or [(True, True)] * n])
+    return init_registry(params, [roster or [(True, True)] * n], [RngStream(seed)])
 
 
-def one_round(state, seed=0):
-    """Run one round of a one-replication block; returns its ``Round``."""
-    return run_round(state, [RngStream(seed)])
+def one_round(state):
+    """Run one round of a block and check it; returns its ``Round``."""
+    rnd = run_round(state)
+    check_rounds(state)
+    return rnd
 
 
 def ids(mask):
@@ -57,7 +64,31 @@ class TestInitRegistry:
     def test_roster_size_mismatch(self):
         params = SimParams(num_voters=5)
         with pytest.raises(ConfigurationError):
-            init_registry(params, [[(True, True)] * 4])
+            init_registry(params, [[(True, True)] * 4], streams(1))
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_a_stream_for_each_row(self, count):
+        # One stream for three rows would give every row row 0's draws.
+        with pytest.raises(ConfigurationError, match=f"^{count} streams given for 3 rows$"):
+            init_registry(SimParams(num_voters=2), [[(True, True)] * 2] * 3, streams(count))
+
+    def test_rows_of_mixed_block_keys_rejected(self):
+        params = [SimParams(num_voters=2, num_items=5), SimParams(num_voters=2, num_items=6)]
+        with pytest.raises(ConfigurationError, match="must share num_voters, num_items"):
+            init_registry(params, [[(True, True)] * 2] * 2, streams(2))
+
+    @pytest.mark.parametrize("rows,n,rounds,depth,source", [
+        (1, 100, 50, 50, RowDraws), (20, 10, 13, 13, ReadAhead), (16, 201, 5, 5, RowDraws),
+        (15, 10, 13, 13, RowDraws), (20, 4000, 3, 1, RowDraws), (400, 200, 2, 1, RowDraws),
+        (300, 200, 5, 1, ReadAhead), (2, 3, 0, 1, RowDraws)])
+    def test_ring_and_draw_source_fit_the_block(self, rows, n, rounds, depth, source):
+        # The ring holds HISTORY_SLOTS voter slots, at least one round; a
+        # block reads ahead from 16 rows and up to 200 voters, when two
+        # rounds of 2N + 1 draws a row fit READ_AHEAD_SLOTS.
+        state = init_registry(SimParams(num_voters=n, num_items=rounds),
+                              np.ones((rows, n, 2), bool), streams(rows))
+        assert state.history.depth == depth
+        assert type(state.draws) is source
 
 
 def spread_balances(gen, shape):
@@ -100,9 +131,9 @@ def test_params_columns_are_each_rows_values():
                   p_vote_disengaged=0.4, p_correct_uninformed=0.35, clamp_value=False)
     params = [a, b, b, a, SimParams(**vars(a))]
     rosters = np.random.default_rng(1).random((5, 6, 2)) < 0.5
-    state = init_registry(params, rosters)
+    state = init_registry(params, rosters, streams(5))
     for r, p in enumerate(params):
-        one = init_registry(p, rosters[r:r + 1])
+        one = init_registry(p, rosters[r:r + 1], streams(1))
         for name in ("inflation_rate", "stake_factor", "growth", "clamp_value", "balances",
                      "draw_cutoffs", "p_correct"):
             assert getattr(state, name)[r].tobytes() == getattr(one, name)[0].tobytes(), (r, name)
@@ -115,20 +146,22 @@ class TestClassTokens:
     # in every row.
     SIZES = [(0, 3, 130, 267), (1, 7, 8, 384), (128, 129, 0, 143), (5, 64, 200, 131)]
 
-    def test_stacked_round_by_round_and_direct_sums_agree_bit_for_bit(self):
+    def test_stacked_round_by_round_and_direct_sums_agree_bit_for_bit(self, monkeypatch):
         gen = np.random.default_rng(0)
         kinds = [(True, True), (False, True), (True, False), (False, False)]  # (engaged, informed)
         rosters = []
         for sizes in self.SIZES:
             pairs = [kind for kind, k in zip(kinds, sizes) for _ in range(k)]
             rosters.append([pairs[i] for i in gen.permutation(len(pairs))])
-        state = init_registry(SimParams(num_voters=400), rosters)
-        assert state.class_sizes.tolist() == [list(sizes) for sizes in self.SIZES]
         # The history path gathers 5 rounds of 1600 balances and 16 zeros at
-        # a time, so 7 rounds take a full chunk and a partial one.
+        # a time, so a 7-round ring takes a full chunk and a partial one.
         depth = 7
         assert GATHER_SLOTS // (400 * 4 + 16) == 5
-        history = state.history = History(depth, state.num_items, *state.balances.shape)
+        monkeypatch.setattr(protocol, "HISTORY_SLOTS", depth * 400 * 4)
+        state = init_registry(SimParams(num_voters=400), rosters, streams(4))
+        assert state.class_sizes.tolist() == [list(sizes) for sizes in self.SIZES]
+        history = state.history
+        assert history.depth == depth
         history.balances[:] = spread_balances(gen, history.balances.shape)
         stacked = state.class_tokens(depth)
         assert stacked.shape == (depth, len(self.SIZES), 4)
@@ -141,31 +174,30 @@ class TestClassTokens:
 
 def test_run_round_by_hand_past_several_rings(monkeypatch):
     # A 3-deep ring over 7 rounds, with no harness: two full rings that
-    # run_round checks, then a one-round tail that check_rounds is called for.
+    # run_round checks, then a one-round tail that the last round checks.
     params = [SimParams(num_voters=20, num_items=7, p_informed=p, inflation_rate=0.05)
               for p in (0.2, 0.5, 0.9)]
-    rosters = sample_rosters(params, [RngStream(seed) for seed in range(len(params))])
-    state = init_registry(params, rosters)
-    h = state.history = History(3, 7, *state.balances.shape)
-    rngs = [RngStream(10 + r) for r in range(3)]
+    rosters = sample_rosters(params, streams(len(params)))
+    monkeypatch.setattr(protocol, "HISTORY_SLOTS", 3 * 3 * 20)
+    state = init_registry(params, rosters, streams(3, first=10))
+    h = state.history
+    assert h.depth == 3
     checked = []
-    check_rounds = protocol.check_rounds
 
-    def record(state, rngs):
+    def record(state):
         checked.append((state.history.checked, state.round_index))
-        check_rounds(state, rngs)
+        check_rounds(state)
 
     monkeypatch.setattr(protocol, "check_rounds", record)
     views = ("decision_add", "n_eligible", "n_add")
     returned, values, balances = [], [], []
     for _ in range(7):
-        rnd = run_round(state, rngs)
+        rnd = run_round(state)
         returned.append(rnd)
         values.append([getattr(rnd, name).copy() for name in views])
         balances.append(state.balances.copy())
-    assert checked == [(0, 3), (3, 6)]
-    protocol.check_rounds(state, rngs)
-    protocol.check_rounds(state, rngs)  # nothing is left to check
+    assert checked == [(0, 3), (3, 6), (6, 7)]
+    protocol.check_rounds(state)  # nothing is left to check
     assert checked == [(0, 3), (3, 6), (6, 7), (7, 7)] and h.checked == 7
     for k, after in enumerate(balances):
         direct = np.array([[after[r][state._class_masks[r, c]].sum() for c in range(4)]
@@ -209,24 +241,24 @@ def test_settlement_of_each_row_has_the_bits_of_the_row_run_alone():
     start[1] = np.where(np.arange(n) < 6, 0.5, 1000.0)
     start[3] = 100.0
     seeds = [10, 11, 12, 13, 14]
-    block = init_registry(params, rosters)
+    block = init_registry(params, rosters, [RngStream(s) for s in seeds])
     block.balances[:] = start
-    alone = [init_registry(p, [roster]) for p, roster in zip(params, rosters)]
+    alone = [init_registry(p, [roster], [RngStream(s)])
+             for p, roster, s in zip(params, rosters, seeds)]
     for r, state in enumerate(alone):
         state.balances[:] = start[r]
-    block_rngs, alone_rngs = [RngStream(s) for s in seeds], [RngStream(s) for s in seeds]
     columns = ("stake", "pre_settle", "post_settle", "participant_tokens", "total",
                "item_good", "decision_add", "n_intends", "n_eligible", "n_add")
     for k in range(rounds):
         before = block.balances.copy()
-        rnd = run_round(block, block_rngs)
+        rnd = one_round(block)
         if k == 0:
             assert rnd.intends[1].sum() == 6 and rnd.n_eligible[1] == 0
             assert rnd.n_eligible[2] == 4 and rnd.n_add[2] == 2
             assert rnd.eligible[3].all() and rnd.n_add[3] not in (0, n)
         assert 0 < rnd.n_eligible[0] and 0 < rnd.n_eligible[4]
         for r, state in enumerate(alone):
-            one = run_round(state, [alone_rngs[r]])
+            one = one_round(state)
             settled, inflated = settle_by_masks(before[r], rnd, r, 1.0 + deltas[r])
             assert block.balances[r].tobytes() == inflated.tobytes(), (k, r)
             assert state.balances[0].tobytes() == inflated.tobytes(), (k, r)
@@ -252,7 +284,7 @@ class TestRequiredStake:
 
     def test_protocol_per_replication(self):
         params = SimParams(num_voters=2, initial_tokens=100.0, initial_stake=5.0)
-        state = init_registry(params, [[(True, True)] * 2] * 3)
+        state = init_registry(params, [[(True, True)] * 2] * 3, streams(3))
         state.balances[1] = [300.0, 100.0]
         assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([5.0, 10.0, 5.0])
 
@@ -261,7 +293,7 @@ class TestRequiredStake:
             num_voters=4, stake_policy=AnalysisSigmaStake(sigma=0.05)
         )
         roster = [(True, True), (True, False), (True, False), (False, False)]
-        state = init_registry(params, [roster])
+        state = init_registry(params, [roster], streams(1))
         assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([5.0])
         # only engaged-uninformed balances matter
         state.balances[0, 0] = 500.0
@@ -271,14 +303,14 @@ class TestRequiredStake:
 
     def test_analysis_sigma_falls_back_to_all_voters(self):
         params = SimParams(num_voters=2, stake_policy=AnalysisSigmaStake(sigma=0.1))
-        state = init_registry(params, [[(True, True), (False, True)]])
+        state = init_registry(params, [[(True, True), (False, True)]], streams(1))
         assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([10.0])
 
     def test_analysis_sigma_per_replication(self):
         # Replication 0 has an engaged-uninformed voter, replication 1 none.
         params = SimParams(num_voters=2, stake_policy=AnalysisSigmaStake(sigma=0.1))
         state = init_registry(params, [[(True, False), (True, True)],
-                                       [(True, True), (False, True)]])
+                                       [(True, True), (False, True)]], streams(2))
         state.balances[:] = [[50.0, 150.0], [50.0, 150.0]]
         assert required_stake(state, state.balances.sum(axis=1)) == pytest.approx([5.0, 10.0])
 
@@ -291,7 +323,7 @@ class TestRequiredStake:
                    for k in ue_sizes]
         rosters = [[roster[i] for i in gen.permutation(400)] for roster in rosters]
         params = SimParams(num_voters=400, stake_policy=AnalysisSigmaStake(sigma=0.07))
-        state = init_registry(params, rosters)
+        state = init_registry(params, rosters, streams(len(rosters)))
         for _ in range(3):
             state.balances[:] = spread_balances(gen, state.balances.shape)
             stake = required_stake(state, state.balances.sum(axis=1))
@@ -361,8 +393,8 @@ class TestSettlement:
         # row 3 has no participant.
         params = SimParams(num_voters=3, initial_stake=6.0, inflation_rate=0.0, **SURE)
         state = init_registry(params, [[ADD, ADD, REJ], [ADD, REJ, OUT], [REJ, ADD, REJ],
-                                       [OUT] * 3])
-        rnd = run_round(state, [RngStream(r) for r in range(4)])
+                                       [OUT] * 3], streams(4))
+        rnd = one_round(state)
         assert rnd.decision_add.tolist() == [True, False, False, False]
         assert rnd.payout == pytest.approx([9.0, 6.0, 9.0, 6.0])
         assert np.allclose(state.balances,
@@ -373,8 +405,8 @@ class TestInflation:
     def test_participants_inflate_at_their_rows_rate(self):
         params = [SimParams(num_voters=3, initial_stake=0.0, inflation_rate=d, **SURE)
                   for d in (0.02, 0.5)]
-        state = init_registry(params, [[ADD, OUT, ADD], [OUT, ADD, REJ]])
-        run_round(state, [RngStream(0), RngStream(1)])
+        state = init_registry(params, [[ADD, OUT, ADD], [OUT, ADD, REJ]], streams(2))
+        one_round(state)
         assert state.balances.tolist() == [[100.0 * 1.02, 100.0, 100.0 * 1.02],
                                            [100.0, 150.0, 150.0]]
 
@@ -384,10 +416,11 @@ class TestInflation:
         # other row does.
         params = [SimParams(num_voters=5, initial_stake=0.0, inflation_rate=d, **SURE)
                   for d in (0.0, 0.5)]
-        state = init_registry(params, [[ADD, REJ, ADD, OUT, ADD], [ADD, OUT, ADD, OUT, REJ]])
+        state = init_registry(params, [[ADD, REJ, ADD, OUT, ADD], [ADD, OUT, ADD, OUT, REJ]],
+                              streams(2))
         state.balances[0] = [0.0, 1e-300, 3.3, 7e12, 1.0 / 3.0]
         before = state.balances[0].tobytes()
-        rnd = run_round(state, [RngStream(0), RngStream(1)])
+        rnd = one_round(state)
         assert rnd.eligible.tolist() == [[True, True, True, False, True],
                                          [True, False, True, False, True]]
         assert state.balances[0].tobytes() == before
@@ -398,18 +431,18 @@ class TestInflation:
         # at its own rate: row 0 adds 2 to 1, row 1 ties.
         params = [SimParams(num_voters=4, initial_stake=6.0, inflation_rate=d, **SURE)
                   for d in (0.5, 0.25)]
-        state = init_registry(params, [[ADD, ADD, REJ, OUT], [ADD, REJ, OUT, OUT]])
-        run_round(state, [RngStream(0), RngStream(1)])
+        state = init_registry(params, [[ADD, ADD, REJ, OUT], [ADD, REJ, OUT, OUT]], streams(2))
+        one_round(state)
         assert state.balances.tolist() == [[154.5, 154.5, 141.0, 100.0],
                                            [125.0, 125.0, 100.0, 100.0]]
 
     def test_supply_grows_by_delta_times_participant_tokens(self):
         # Settlement only moves tokens among the participants, so a round
         # adds delta times the tokens they held when it began.
-        state = make_state(n=50, inflation_rate=0.05)
+        state = make_state(n=50, inflation_rate=0.05, seed=11)
         state.balances[0] = np.linspace(1.0, 500.0, 50)
         before = state.balances[0].copy()
-        voted = ids(one_round(state, seed=11).eligible[0])
+        voted = ids(one_round(state).eligible[0])
         assert 0 < len(voted) < 50
         assert state.balances.sum(axis=1) == pytest.approx(
             before.sum() + 0.05 * before[voted].sum(), rel=1e-12)
@@ -443,10 +476,10 @@ class TestRunRound:
         # Voter 3 is priced out and voters 4..9 never intend: none of them
         # votes, and only the 3 eligible voters consume vote draws.
         roster = [(True, True)] * 4 + [(False, True)] * 6
-        state = make_state(n=10, roster=roster, **SURE)
+        state = make_state(n=10, roster=roster, seed=5, **SURE)
         state.balances[0, 3] = 1.0
-        rng = RngStream(5)
-        rnd = run_round(state, [rng])
+        rnd = one_round(state)
+        [rng] = state.rngs
         assert ids(rnd.eligible[0]) == [0, 1, 2]
         assert ids(rnd.add[0] | (rnd.eligible[0] & ~rnd.add[0])) == [0, 1, 2]
         replay = RngStream(5)
@@ -498,21 +531,21 @@ def test_sums_agree_within_rel_tol(t0, column, what):
     row 2 in round 1 moved 2 x that off fails, naming the row; 0.5 x passes."""
     params = [SimParams(num_voters=20, num_items=3, initial_tokens=t0,
                         initial_stake=t0 / 20, inflation_rate=0.05)] * 3
-    rosters = sample_rosters(params, [RngStream(seed) for seed in range(3)])
+    rosters = sample_rosters(params, streams(3))
     for factor in (0.5, 2.0):
-        state = init_registry(params, rosters)
-        h = state.history = History(3, 3, *state.balances.shape)
-        rngs = [RngStream(10 + r) for r in range(3)]
+        state = init_registry(params, rosters, streams(3, first=10))
+        h = state.history
+        assert h.depth == 3
         for _ in range(2):
-            run_round(state, rngs)
+            run_round(state)
         wanted = (h.pre_settle if column == "post_settle"
                   else h.post_settle + state.inflation_rate * h.participant_tokens)[1, 2]
         getattr(h, column)[1, 2] = wanted + factor * protocol.REL_TOL * max(abs(wanted), 1.0)
         if factor < 1:
-            protocol.check_rounds(state, rngs)
+            check_rounds(state)
             continue
         with pytest.raises(InvariantViolation, match=f"^{what} at round 1 \\(seed 12\\)") as exc:
-            protocol.check_rounds(state, rngs)
+            check_rounds(state)
         assert exc.value.row == 2
 
 

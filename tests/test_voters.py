@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from tcrlab.params import SimParams
-from tcrlab.protocol import init_registry, run_round
+from tcrlab.protocol import check_rounds, init_registry, run_round
 from tcrlab.voters import ReadAhead, RngStream, RowDraws, sample_rosters
 
 
 def one_round(roster, seed=0, **kwargs):
     """Run one round over a fixed roster; every intending voter can cover the stake.
 
-    Returns the ``Round`` of the one-replication block.
+    Returns the ``Round`` of the one-replication block, checked.
     """
-    state = init_registry(SimParams(num_voters=len(roster), **kwargs), [roster])
-    return run_round(state, [RngStream(seed)])
+    state = init_registry(SimParams(num_voters=len(roster), **kwargs), [roster],
+                          [RngStream(seed)])
+    rnd = run_round(state)
+    check_rounds(state)
+    return rnd
 
 
 class TestRngStream:
